@@ -3,9 +3,10 @@
 Both speak the newline-delimited JSON control protocol (protocol.md). The
 registry accepts reflector registrations, heartbeats, membership adverts,
 and uplinked metric events; it publishes topology snapshots and fans
-metric/notification events out to subscribers, runs the optimizer over
-links derived from uplinked peer metrics, and supervises reflectors by
-heartbeat age.
+metric/notification events out to subscribers, and supervises reflectors
+by heartbeat age. Link quality, the optimizer cycle, routing install and
+gateway flow run in the shared ControlPlane (control.py), the same one the
+simulator drives, over links derived from uplinked peer metrics.
 
 A reflector daemon keeps one control connection to the registry, serves a
 media port where clients and peer reflectors connect (one JSON hello line,
@@ -26,6 +27,7 @@ import time
 from typing import Optional
 
 from .config import OverlayConfig
+from .control import ControlPlane
 from .errors import (
     ConfigError,
     DuplicateId,
@@ -36,7 +38,6 @@ from .errors import (
 )
 from .model import LinkStats, link_key
 from .monitor import MetricCollector, MetricSample, MonitorService
-from .optimizer import Reroute, build_graph, compute_room_routes, min_spanning_tree, reweigh_tree, should_reroute
 from .protocol import (
     decode_message,
     encode_message,
@@ -55,10 +56,9 @@ from .protocol import (
     metric_sample_from_event,
     routing_table_from_message,
 )
-from .quality import QualityFactor, raw_quality, update_ewma
 from .reflector import DeliverLocal, LocalClient, Peer, ReflectorEngine
-from .registry import Registry, RegistryEntry
-from .supervisor import JsonLinesSink, NotificationEvent, ProbeResult, RestartCommand, Supervisor
+from .registry import RegistryEntry
+from .supervisor import HealthState, JsonLinesSink, NotificationEvent, ProbeResult, RestartCommand
 from .wire import encode_media_packet, frame_size, read_media_packet
 
 log = logging.getLogger("vroverlay.daemon")
@@ -146,20 +146,15 @@ class RegistryDaemon:
         self.config = config
         self.listen_address = parse_hostport(listen or config.registry_address)
         self.monitor = MonitorService(config.series_capacity, config.budget_bytes)
-        self.registry = Registry(
-            heartbeat_interval_ms=config.heartbeat_interval_ms,
-            liveness_intervals=config.liveness_intervals,
-        )
         sink = JsonLinesSink(notification_stream) if notification_stream else _LogSink()
-        self.supervisor = Supervisor(config.k_miss, sink=sink, recipients=config.admins)
+        self.control = ControlPlane(config, self._push_table, sink)
+        self.registry = self.control.registry
+        self.supervisor = self.control.supervisor
         self._notify_conns: set = set()
         self._lock = threading.RLock()
         self._conns: set = set()
         self._by_reflector: dict = {}     # reflector id -> _LineConn
         self._subscribers: dict = {}      # _LineConn -> Subscription
-        self._filters: dict = {}          # link key -> QualityFactor
-        self._link_stats: dict = {}       # link key -> latest LinkStats
-        self._current_tree = None
         self._server: Optional[socketserver.ThreadingTCPServer] = None
         self._stop = threading.Event()
         self._threads: list = []
@@ -252,18 +247,20 @@ class RegistryDaemon:
                     conn.send(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
                     return reflector_id
                 self._by_reflector[msg["reflector"]] = conn
-                self.supervisor.watch(msg["reflector"])
+                record = self.supervisor.watch(msg["reflector"])
+                if record.state is HealthState.FAILED:
+                    # A restarted reflector re-registering is the only way
+                    # out of Failed in daemon mode.
+                    self.supervisor.clear_failed(msg["reflector"])
                 conn.send(make_ack(True, epoch=epoch))
                 return msg["reflector"]
             if kind == "deregister":
                 try:
-                    self.registry.deregister(msg["reflector"])
+                    self.control.deregister(msg["reflector"])
                 except UnknownReflector as exc:
                     conn.send(make_ack(False, error=str(exc)))
                     return reflector_id
-                self.supervisor.unwatch(msg["reflector"])
                 self._by_reflector.pop(msg["reflector"], None)
-                self._drop_links_of(msg["reflector"])
                 conn.send(make_ack(True))
                 return None
             if kind == "heartbeat":
@@ -315,12 +312,6 @@ class RegistryDaemon:
         conn.send(make_ack(False, error="unsupported kind %r" % kind))
         return reflector_id
 
-    def _drop_links_of(self, reflector: int) -> None:
-        for key in [k for k in self._link_stats if reflector in k]:
-            del self._link_stats[key]
-            self._filters.pop(key, None)
-            self.registry.drop_link(*key)
-
     def _derive_link(self, sample: MetricSample) -> None:
         """Uplinked peer.<id>.rtt_ms samples define the overlay's link table."""
         parts = sample.name.split(".")
@@ -332,21 +323,15 @@ class RegistryDaemon:
             return
         if peer == sample.reflector:
             return
-        key = link_key(sample.reflector, peer)
-        stats = LinkStats(
-            link=key,
-            rtt_ms=max(sample.value, 0.0),
-            loss_fraction=0.0,
-            capacity_kbps=self.DEFAULT_LINK_CAPACITY_KBPS,
-            sampled_at=sample.at,
+        current = self.control.observe_link(
+            LinkStats(
+                link=link_key(sample.reflector, peer),
+                rtt_ms=max(sample.value, 0.0),
+                loss_fraction=0.0,
+                capacity_kbps=self.DEFAULT_LINK_CAPACITY_KBPS,
+                sampled_at=sample.at,
+            )
         )
-        prev = self._filters.get(key, QualityFactor(link=key, alpha=self.config.alpha))
-        current = update_ewma(
-            prev, raw_quality(0.0, stats.rtt_ms, self.config.rtt_ref_ms), sample.at
-        )
-        self._filters[key] = current
-        self._link_stats[key] = stats
-        self.registry.report_link(stats, current)
         self.monitor.record(
             MetricSample(sample.reflector, "peer.%d.quality" % peer, current.q, sample.at)
         )
@@ -376,38 +361,14 @@ class RegistryDaemon:
                         conn.send(make_snapshot(snap))
                 if now - last_optimize >= self.config.optimizer_period_ms:
                     last_optimize = now
-                    self._optimize(now)
+                    report = self.control.cycle(now)
+                    if report is not None:
+                        log.info("routing epoch %d installed (%d acks, %d failures)",
+                                 report.epoch, len(report.acks), len(report.failures))
                 if now - last_probe >= self.config.probe_interval_ms:
                     last_probe = now
                     self._supervise(now)
                 self._flush_subscribers()
-
-    def _optimize(self, now: float) -> None:
-        snapshot = self.registry.build_snapshot()
-        graph = build_graph(snapshot, self._filters, self.config.q_min)
-        if not graph.edges:
-            return
-        candidate = min_spanning_tree(graph)
-        install = self._current_tree is None or self._current_tree.covers != candidate.covers
-        if not install:
-            current, dead = reweigh_tree(self._current_tree, graph)
-            install = should_reroute(current, candidate, self.config.delta, dead) is Reroute.INSTALL
-        if not install:
-            return
-        epoch = self.registry.routing_epoch + 1
-        members = {
-            room: hosts & candidate.covers
-            for room, hosts in self.registry.room_members().items()
-            if hosts & candidate.covers
-        }
-        tables = compute_room_routes(candidate, members, epoch)
-        report = self.registry.publish_routing(tables, self._push_table)
-        self.registry.set_tree(candidate.edges)
-        self._current_tree = candidate
-        for rid, reason in report.failures.items():
-            self.supervisor.note_unreachable(rid, now)
-        log.info("routing epoch %d installed (%d acks, %d failures)",
-                 epoch, len(report.acks), len(report.failures))
 
     def _push_table(self, rid: int, table) -> None:
         conn = self._by_reflector.get(rid)

@@ -37,9 +37,6 @@ class WeightedGraph:
     edges: Mapping[LinkKey, EdgeAttrs]
     built_from_epoch: int = 0
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
     def neighbors(self, v: ReflectorId) -> list:
         out = []
         for a, b in self.edges:
@@ -95,6 +92,7 @@ def build_graph(
     snapshot: TopologySnapshot,
     quality: Mapping[LinkKey, QualityFactor] = None,
     q_min: float = DEFAULT_Q_MIN,
+    exclude: frozenset = frozenset(),
 ) -> WeightedGraph:
     """Weighted graph of the snapshot's live reflectors and usable links.
 
@@ -102,8 +100,10 @@ def build_graph(
     the tree prefers clean paths and flow reflects effective throughput.
     Links classified Down (q strictly below q_min) are excluded. The
     ``quality`` map overrides the snapshot's own per-link quality when given.
+    Reflectors in ``exclude`` (e.g. supervisor-Failed ones) are left out
+    along with their links.
     """
-    live = snapshot.live_ids()
+    live = snapshot.live_ids() - exclude
     edges: dict = {}
     for record in snapshot.links:
         key = record.stats.link

@@ -1,11 +1,12 @@
 """Whole-overlay simulation: every module wired over the event loop.
 
-One OverlaySim owns the reflector engines, the registry, the quality
-filters, the optimizer cycle, the supervisor, and the metric service, all
-driven by the discrete-event clock. Media packets travel over simulated
-links (latency, loss, serialization delay); control traffic (heartbeats,
-advertisements, routing installs, probes) is delivered in-process at event
-time, gated on the target being alive and un-partitioned.
+One OverlaySim owns the reflector engines, the metric service and a
+ControlPlane (registry, quality filters, optimizer cycle, supervisor; the
+registry daemon runs the same class), all driven by the discrete-event
+clock. Media packets travel over simulated links (latency, loss,
+serialization delay); control traffic (heartbeats, advertisements, routing
+installs, probes) is delivered in-process at event time, gated on the
+target being alive and un-partitioned.
 
 Fixed ordering keeps runs bit-deterministic: periodic work fires in the
 order heartbeats, monitor tick, optimizer cycle, snapshot publish,
@@ -25,19 +26,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..config import OverlayConfig, apply_overrides
+from ..control import ControlPlane
 from ..errors import LinkDown, NotAMember, OverlayError, RegistryUnreachable, UnknownRoom
 from ..model import LinkStats, MediaPacket
 from ..monitor import MetricCollector, MonitorService
-from ..optimizer import (
-    Reroute,
-    build_graph,
-    compute_room_routes,
-    max_flow,
-    min_spanning_tree,
-    reweigh_tree,
-    should_reroute,
-)
-from ..quality import QualityFactor, raw_quality, update_ewma
 from ..reflector import (
     DeliverLocal,
     LocalClient,
@@ -47,14 +39,8 @@ from ..reflector import (
     ReflectorEngine,
     SelectSpeaker,
 )
-from ..registry import FlowSummary, Registry, RegistryEntry
-from ..supervisor import (
-    MemorySink,
-    NotificationEvent,
-    ProbeResult,
-    RestartCommand,
-    Supervisor,
-)
+from ..registry import RegistryEntry
+from ..supervisor import MemorySink, NotificationEvent, ProbeResult, RestartCommand
 from ..wire import HEADER_SIZE
 from .core import EventLoop, SimLink, SimNetwork
 from .scenario import (
@@ -169,30 +155,21 @@ class OverlaySim:
         self.isolated: set = set()
         self._partition_down: set = set()
 
-        self.registry = Registry(
-            heartbeat_interval_ms=self.config.heartbeat_interval_ms,
-            liveness_intervals=self.config.liveness_intervals,
-        )
         self.notification_sink = MemorySink()
-        self.supervisor = Supervisor(
-            k_miss=self.config.k_miss,
-            sink=self.notification_sink,
-            recipients=self.config.admins,
-        )
+        self.control = ControlPlane(self.config, self._install_table, self.notification_sink)
+        self.registry = self.control.registry
+        self.supervisor = self.control.supervisor
         self.monitor = MonitorService(
             series_capacity=self.config.series_capacity,
             budget_bytes=self.config.budget_bytes,
         )
-        self.filters: dict = {}       # link key -> QualityFactor
         self.nodes: dict = {}         # reflector id -> SimNode
         self.client_home: dict = {}   # client id -> reflector id
         self.room_clients: dict = {}  # room id -> set of client ids
-        self.current_tree = None
         self.routing_epochs: list = []
         self.delivered_to: dict = {}  # packet key -> {client: count}
         self.expected_receivers: dict = {}  # packet key -> frozenset of clients
         self._seq: dict = {}          # (room, src) -> next seq
-        self._last_tables: dict = {}  # reflector id -> last published RoutingTable
 
         for spec in scenario.reflectors:
             self._create_node(spec.id, spec.region, register_at=0.0)
@@ -285,7 +262,7 @@ class OverlaySim:
 
     def _resync_routing(self, rid: int) -> None:
         """Reconnected reflectors fetch the current epoch's table."""
-        table = self._last_tables.get(rid)
+        table = self.control.tables.get(rid)
         node = self.nodes.get(rid)
         if table is not None and node is not None and node.engine.routing.epoch < table.epoch:
             node.engine.swap_routing_table(table)
@@ -315,11 +292,7 @@ class OverlaySim:
                 capacity_kbps=link.bandwidth_kbps,
                 sampled_at=now,
             )
-            prev = self.filters.get(key, QualityFactor(link=key, alpha=self.config.alpha))
-            sample = raw_quality(stats.loss_fraction, stats.rtt_ms, self.config.rtt_ref_ms)
-            current = update_ewma(prev, sample, now)
-            self.filters[key] = current
-            self.registry.report_link(stats, current)
+            self.control.observe_link(stats)
             per_node_links[a].append(stats)
             per_node_links[b].append(stats)
         if self.monitoring:
@@ -328,78 +301,27 @@ class OverlaySim:
                 if not node.alive:
                     continue
                 for sample in node.collector.collect(
-                    node.engine, per_node_links[rid], self.filters, now
+                    node.engine, per_node_links[rid], self.control.filters, now
                 ):
                     self.monitor.record(sample)
         self.loop.schedule_in(self.config.monitor_interval_ms, self._monitor_tick)
 
     def _optimizer_cycle(self) -> None:
-        now = self.loop.now
-        self.registry.expire(now)
-        snapshot = self.registry.build_snapshot()
-        graph = build_graph(snapshot, self.filters, self.config.q_min)
-        failed = self.supervisor.failed()
-        if failed:
-            graph = _without_vertices(graph, failed)
-        candidate = min_spanning_tree(graph)
-
-        install = False
-        if (
-            self.current_tree is None
-            or self.current_tree.covers != candidate.covers
-            or self.current_tree.components != candidate.components
-        ):
-            # Topology membership changed (registration, expiry, or a split
-            # component rejoining): the gate only arbitrates same-shape trees.
-            install = True
-        else:
-            current, dead = reweigh_tree(self.current_tree, graph)
-            install = should_reroute(
-                current, candidate, self.config.delta, dead
-            ) is Reroute.INSTALL
-        if install and candidate.covers:
-            self._install_tree(candidate)
-
-        if self.config.gateway_pair is not None:
-            src, dst = self.config.gateway_pair
-            if src in graph.vertices and dst in graph.vertices and src != dst:
-                flow = max_flow(graph, src, dst)
-                self.registry.set_flow(
-                    FlowSummary(
-                        source=src,
-                        sink=dst,
-                        value=flow.value,
-                        edges=flow.positive_flow_edges(),
-                    )
-                )
-            else:
-                self.registry.set_flow(None)
+        report = self.control.cycle(self.loop.now)
+        if report is not None:
+            tree = self.control.tree
+            for rid, reason in sorted(report.failures.items()):
+                self._trace("install_failed", reflector=rid, reason=reason)
+            self.routing_epochs.append(report.epoch)
+            self._trace(
+                "routing",
+                epoch=report.epoch,
+                edges=sorted(list(e) for e in tree.edges),
+                total_weight=round(tree.total_weight, 9),
+                acks=len(report.acks),
+                failures=len(report.failures),
+            )
         self.loop.schedule_in(self.config.optimizer_period_ms, self._optimizer_cycle)
-
-    def _install_tree(self, tree) -> None:
-        epoch = self.registry.routing_epoch + 1
-        members_by_room = {}
-        for room, hosts in self.registry.room_members().items():
-            on_tree = hosts & tree.covers
-            if on_tree:
-                members_by_room[room] = on_tree
-        tables = compute_room_routes(tree, members_by_room, epoch)
-        self._last_tables = dict(tables)
-        report = self.registry.publish_routing(tables, self._install_table)
-        for rid, reason in sorted(report.failures.items()):
-            self.supervisor.note_unreachable(rid, self.loop.now)
-            self._trace("install_failed", reflector=rid, reason=reason)
-        self.registry.set_tree(tree.edges)
-        self.current_tree = tree
-        self.routing_epochs.append(epoch)
-        self._trace(
-            "routing",
-            epoch=epoch,
-            edges=sorted(list(e) for e in tree.edges),
-            total_weight=round(tree.total_weight, 9),
-            acks=len(report.acks),
-            failures=len(report.failures),
-        )
 
     def _install_table(self, rid: int, table) -> None:
         if not self._reachable(rid):
@@ -708,16 +630,3 @@ class OverlaySim:
                 % (expect["max_routing_epochs"], epochs)
             )
 
-
-def _without_vertices(graph, exclude):
-    from ..optimizer import WeightedGraph
-
-    vertices = frozenset(v for v in graph.vertices if v not in exclude)
-    edges = {
-        k: attrs
-        for k, attrs in graph.edges.items()
-        if k[0] in vertices and k[1] in vertices
-    }
-    return WeightedGraph(
-        vertices=vertices, edges=edges, built_from_epoch=graph.built_from_epoch
-    )

@@ -120,7 +120,7 @@ class Supervisor:
         self.sink = sink if sink is not None else MemorySink()
         self.recipients = tuple(recipients)
         self.records: dict = {}  # ReflectorId -> HealthRecord
-        self.unreachable_hints: list = []  # (reflector, at) from failed control deliveries
+        self.unreachable: dict = {}  # ReflectorId -> failed control deliveries
 
     def watch(self, reflector: ReflectorId) -> HealthRecord:
         record = self.records.get(reflector)
@@ -131,6 +131,7 @@ class Supervisor:
 
     def unwatch(self, reflector: ReflectorId) -> None:
         self.records.pop(reflector, None)
+        self.unreachable.pop(reflector, None)
 
     def probe_targets(self) -> list:
         """Reflectors to probe this tick: everything watched except Failed."""
@@ -143,9 +144,9 @@ class Supervisor:
             rid for rid, r in self.records.items() if r.state is HealthState.FAILED
         )
 
-    def note_unreachable(self, reflector: ReflectorId, at: float) -> None:
-        """Record a control-plane delivery failure; probing remains the authority."""
-        self.unreachable_hints.append((reflector, at))
+    def note_unreachable(self, reflector: ReflectorId) -> None:
+        """Count a control-plane delivery failure; probing remains the authority."""
+        self.unreachable[reflector] = self.unreachable.get(reflector, 0) + 1
 
     def supervise_tick(self, results: Mapping[ReflectorId, ProbeResult], now: float = 0.0) -> list:
         """Fold one round of probe results; returns actions in reflector-id order."""

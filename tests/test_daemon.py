@@ -14,9 +14,11 @@ from vroverlay.protocol import (
     encode_message,
     make_hello_client,
     make_probe,
+    make_register,
     make_snapshot_request,
     make_subscribe,
 )
+from vroverlay.supervisor import HealthState
 from vroverlay.wire import encode_media_packet, frame_size, read_media_packet
 
 FAST = {
@@ -99,8 +101,10 @@ def test_media_crosses_peered_reflectors_after_routing_install(registry):
         # engines learn their pruned egress for room 5.
         assert wait_for(lambda: ref1.engine.routing.epoch >= 1
                         and ref2.engine.routing.epoch >= 1)
-        assert wait_for(lambda: 5 in ref1.engine.routing.room_egress
-                        and 5 in ref2.engine.routing.room_egress)
+        # The first epoch can be edgeless (installed before any peer link is
+        # measured), so wait for the egress that actually crosses the link.
+        assert wait_for(lambda: ref1.engine.routing.room_egress.get(5) == {2}
+                        and ref2.engine.routing.room_egress.get(5) == {1})
         packet = MediaPacket(room=5, src=1, seq=1, timestamp_ms=9,
                              payload_type=PayloadType.VIDEO_H261, payload=b"frame")
         c1.sendall(encode_media_packet(packet))
@@ -190,3 +194,26 @@ def test_client_disconnect_detaches_and_advertises(registry):
         assert wait_for(lambda: 5 not in registry.registry.room_members())
     finally:
         ref.shutdown()
+
+
+def test_reregistration_clears_failed_and_rejoins_tree():
+    daemon = RegistryDaemon(load_config(None, {**FAST, "probe_deadline_ms": 100}),
+                            listen="127.0.0.1:0")
+    daemon.start()
+    ref = reflector(daemon, 1)
+    sock = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    register = encode_message(make_register(9, "127.0.0.1:9")).encode()
+    try:
+        sock.sendall(register)
+        assert decode_message(sock.makefile("r").readline())["ok"]
+        # Reflector 9 never heartbeats: it expires, misses its probes and
+        # fails both restarts, so the tree shrinks to reflector 1 alone.
+        assert wait_for(lambda: 9 in daemon.supervisor.failed())
+        assert wait_for(lambda: daemon.control.tree.covers == {1})
+        sock.sendall(register)
+        assert wait_for(lambda: 9 in daemon.control.tree.covers)
+        assert daemon.supervisor.records[9].state is not HealthState.FAILED
+    finally:
+        sock.close()
+        ref.shutdown()
+        daemon.stop()

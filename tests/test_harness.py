@@ -84,12 +84,23 @@ def test_restart_ok_bundled_scenario_recovers():
     assert len(restarts) == 1 and restarts[0]["ok"]
 
 
+# As printed by `vroverlay sim run scenarios/<name>.json`; a change here is a
+# behaviour change of the simulator or the control plane.
+BUNDLED_TRACE_HASHES = {
+    "line3": "6a594d78def25ddb798db1bbe75c3fdd98fe03e86703ff20b4a9174f63d12f9a",
+    "eu-us-backup": "079e28ec37f4b63ae2de182ee327a46487aab6052f0ad0050c07625a1792e79a",
+    "restart-fail": "665d6350eddf1a617e4fd3130cc54c8db6d49dc33f8cc1e079c801fb3cd8b34f",
+    "restart-ok": "f2ca96d45617d3aabfd59e50ca2acd7fad701dc3861d0dcbe9a9201bdb70cd84",
+}
+
+
 def test_bundled_scenarios_deterministic_trace_hashes():
-    for name in ("line3", "eu-us-backup", "restart-fail", "restart-ok"):
+    for name, expected in BUNDLED_TRACE_HASHES.items():
         path = os.path.join(SCENARIOS, "%s.json" % name)
         first = OverlaySim(load_scenario_file(path)).run()
         second = OverlaySim(load_scenario_file(path)).run()
         assert first.trace_hash() == second.trace_hash(), name
+        assert first.trace_hash() == expected, name
 
 
 # --- recovery timing ---
@@ -268,7 +279,7 @@ def test_partition_reports_failed_installs_and_notifies_supervisor():
     report = sim.run()
     failures = [e for e in report.trace if e["kind"] == "install_failed"]
     assert failures and failures[0]["reflector"] == 3
-    assert any(rid == 3 for rid, _ in sim.supervisor.unreachable_hints)
+    assert sim.supervisor.unreachable.get(3, 0) >= 1
 
 
 def test_partition_heals_and_resyncs_routing():
