@@ -43,7 +43,6 @@ class OverlayConfig:
     probe_deadline_ms: float = 2_000.0
     k_miss: int = 2
     admins: tuple = ()
-    restart_command: str = ""
 
     # metric store
     series_capacity: int = 4096
@@ -58,7 +57,7 @@ class OverlayConfig:
 _FIELDS = {f.name: f for f in fields(OverlayConfig)}
 
 
-def _parse_value(name: str, raw, target_type):
+def _parse_value(name: str, raw):
     if isinstance(raw, str):
         raw = raw.strip()
     if name == "gateway_pair":
@@ -83,34 +82,12 @@ def _parse_value(name: str, raw, target_type):
         if raw == "":
             return ()
         return tuple(p.strip() for p in str(raw).split(",") if p.strip())
-    if target_type is bool or isinstance(target_type, type) and issubclass(target_type, bool):
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("true", "1", "yes"):
-            return True
-        if str(raw).lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError("%s must be a boolean, got %r" % (name, raw))
+    # Every other field is a str, int or float: its default's type parses it.
+    target_type = type(_FIELDS[name].default)
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
+        return target_type(raw)
     except (TypeError, ValueError):
         raise ConfigError("%s must be a %s, got %r" % (name, target_type.__name__, raw)) from None
-    return str(raw)
-
-
-_TYPES = {
-    "registry_address": str, "listen": str, "reflector_id": int, "region": str,
-    "alpha": float, "rtt_ref_ms": float, "q_min": float,
-    "delta": float, "optimizer_period_ms": float, "gateway_pair": tuple,
-    "heartbeat_interval_ms": float, "liveness_intervals": int,
-    "publish_interval_ms": float, "monitor_interval_ms": float,
-    "probe_interval_ms": float, "probe_deadline_ms": float, "k_miss": int,
-    "admins": tuple, "restart_command": str,
-    "series_capacity": int, "budget_bytes": int, "subscriber_queue": int,
-}
 
 
 def apply_overrides(config: OverlayConfig, overrides: dict) -> OverlayConfig:
@@ -119,7 +96,7 @@ def apply_overrides(config: OverlayConfig, overrides: dict) -> OverlayConfig:
     for name, raw in overrides.items():
         if name not in _FIELDS:
             raise ConfigError("unknown config key %r" % name)
-        parsed[name] = _parse_value(name, raw, _TYPES[name])
+        parsed[name] = _parse_value(name, raw)
     cfg = replace(config, **parsed)
     _validate(cfg)
     return cfg

@@ -13,27 +13,37 @@ media port where clients and peer reflectors connect (one JSON hello line,
 then framed media packets), applies pushed routing tables, and uplinks its
 monitoring samples every collection interval.
 
+Each daemon runs its sockets and timers on one selectors loop thread, so
+the registry, control plane and reflector engine see one caller at a time
+and need no lock. No socket blocks the loop: a full destination queue drops
+its oldest chunk not yet started and counts it, so a stalled receiver loses
+only its own frames. Every connection sets TCP_NODELAY, or small frames wait
+on Nagle's algorithm and delayed ACKs.
+
 Daemon mode reuses the exact module code the simulator drives, but runs on
 wall clock and real sockets, so it sits outside the determinism guarantees.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
-import queue
+import selectors
 import socket
-import socketserver
 import threading
 import time
-from typing import Optional
+from collections import deque
+from functools import partial
+from typing import Callable, Optional
 
 from .config import OverlayConfig
 from .control import ControlPlane
 from .errors import (
     ConfigError,
-    DuplicateId,
     OverlayError,
     RegistryUnreachable,
     SchemaError,
+    Truncated,
     UnknownReflector,
 )
 from .model import LinkStats, link_key
@@ -59,9 +69,12 @@ from .protocol import (
 from .reflector import DeliverLocal, LocalClient, Peer, ReflectorEngine
 from .registry import RegistryEntry
 from .supervisor import HealthState, JsonLinesSink, NotificationEvent, ProbeResult, RestartCommand
-from .wire import encode_media_packet, frame_size, read_media_packet
+from .wire import HEADER_SIZE, read_media_packet
 
 log = logging.getLogger("vroverlay.daemon")
+
+MEDIA_QUEUE = 256          # frames a media connection holds before dropping
+PROBE_TIMEOUT_S = 2.0
 
 
 def parse_hostport(text: str) -> tuple:
@@ -78,62 +91,185 @@ def now_ms() -> float:
     return time.time() * 1000.0
 
 
-class _LineConn:
-    """One protocol connection: blocking reader, queued writer."""
+def _pop_line(buf: bytearray) -> Optional[str]:
+    """Remove and return the first complete line of ``buf``, if there is one."""
+    end = buf.find(b"\n")
+    if end < 0:
+        return None
+    line = buf[:end + 1].decode("utf-8", "replace")
+    del buf[:end + 1]
+    return line
 
-    def __init__(self, sock: socket.socket, queue_size: int = 1024):
-        self.sock = sock
-        self.rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-        self._out: "queue.Queue" = queue.Queue(maxsize=queue_size)
-        self.dropped = 0
-        self.closed = threading.Event()
-        self._writer = threading.Thread(target=self._drain, daemon=True)
-        self._writer.start()
 
-    def send(self, msg: dict) -> None:
-        line = encode_message(msg)
-        while True:
-            try:
-                self._out.put_nowait(line)
-                return
-            except queue.Full:
-                try:
-                    self._out.get_nowait()
-                    self.dropped += 1
-                except queue.Empty:
-                    pass
+class _Loop:
+    """One selectors loop on one thread: connections, listeners and timers."""
 
-    def _drain(self) -> None:
-        while not self.closed.is_set():
-            try:
-                line = self._out.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            try:
-                self.sock.sendall(line.encode("utf-8"))
-            except OSError:
-                self.close()
-                return
+    def __init__(self, final: Callable = lambda: None):
+        self.sel = selectors.DefaultSelector()
+        self.conns: set = set()
+        self._timers: list = []            # heap of (due, seq, fn)
+        self._seq = itertools.count()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self.sel.register(self._wake_r, selectors.EVENT_READ, lambda mask: None)
+        self._thread: Optional[threading.Thread] = None
+        self._final = final                # runs on the loop thread as it stops
+        self.stopped = threading.Event()
 
-    def readline(self) -> Optional[str]:
+    def listen(self, address: tuple, on_accept: Callable) -> socket.socket:
+        sock = socket.create_server(address, backlog=64)
+        sock.setblocking(False)
+        self.sel.register(sock, selectors.EVENT_READ, lambda mask: on_accept(sock.accept()[0]))
+        return sock
+
+    def call_later(self, delay_s: float, fn: Callable) -> None:
+        heapq.heappush(self._timers, (time.monotonic() + delay_s, next(self._seq), fn))
+
+    def every(self, interval_s: float, fn: Callable) -> None:
+        def tick():
+            self.call_later(interval_s, tick)
+            fn()
+
+        self.call_later(interval_s, tick)
+
+    def start(self, name: str) -> None:
+        """Run the loop on its own thread; after an early stop(), close instead."""
+        if self.stopped.is_set():
+            self.close()
+            return
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread.start()
+
+    def stop(self) -> None:
+        """End the loop, run ``final`` on its thread and close every socket."""
+        if self.stopped.is_set():
+            return
+        if self._thread is None:
+            self.stopped.set()
+            self._final()  # start() has not run the loop yet and closes up
+            return
+        self._wake_w.send(b"\0")  # before the flag: once it is set, the loop closes this
+        self.stopped.set()
+        self._thread.join(timeout=5.0)
+
+    def wait(self) -> None:
+        """Block until the loop stops; Ctrl-C stops it."""
         try:
-            line = self.rfile.readline()
-        except OSError:
-            return None
-        return line if line else None
+            while not self.stopped.wait(0.5):
+                pass
+        except KeyboardInterrupt:
+            self.stop()
 
     def close(self) -> None:
-        if self.closed.is_set():
+        for conn in list(self.conns):
+            conn.on_close = None
+            conn.close()
+        for key in list(self.sel.get_map().values()):  # listeners, wake socket
+            key.fileobj.close()
+        self.sel.close()
+        self._wake_w.close()
+
+    def _run(self) -> None:
+        while not self.stopped.is_set():
+            timeout = max(0.0, self._timers[0][0] - time.monotonic()) if self._timers else None
+            for key, mask in self.sel.select(timeout):
+                self._guard(key.data, mask)
+            while self._timers and self._timers[0][0] <= time.monotonic():
+                self._guard(heapq.heappop(self._timers)[2])
+        self._guard(self._final)
+        self.close()
+
+    @staticmethod
+    def _guard(fn: Callable, *args) -> None:
+        # One failing handler or timer must not stop the daemon.
+        try:
+            fn(*args)
+        except Exception:
+            log.exception("loop callback failed")
+
+
+class _Conn:
+    """A non-blocking socket on the loop: inbound bytes, bounded outbound chunks.
+
+    ``on_data(conn)`` consumes what it can of ``conn.inbuf``. When ``limit``
+    chunks already wait to go out, ``send`` drops the oldest and counts it in
+    ``dropped``; the chunk going out is always finished, so no frame is split.
+    Errors close the connection, which calls ``on_close(conn)``.
+    """
+
+    def __init__(self, loop: _Loop, sock: socket.socket, on_data: Callable,
+                 on_close: Optional[Callable] = None, limit: int = MEDIA_QUEUE):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
+        self.loop = loop
+        self.sock = sock
+        self.on_data = on_data
+        self.on_close = on_close
+        self.inbuf = bytearray()
+        self.head: Optional[memoryview] = None   # the chunk going out
+        self.queue: deque = deque(maxlen=limit)
+        self.dropped = 0
+        self.closed = False
+        self._mask = selectors.EVENT_READ
+        loop.sel.register(sock, self._mask, self._ready)
+        loop.conns.add(self)
+
+    def send(self, data: bytes) -> None:
+        if self.closed:
             return
-        self.closed.set()
+        if len(self.queue) == self.queue.maxlen:
+            self.dropped += 1
+        self.queue.append(data)
+        self._flush()
+
+    def send_msg(self, msg: dict) -> None:
+        self.send(encode_message(msg).encode("utf-8"))
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self.loop.conns.discard(self)
+        self.loop.sel.unregister(self.sock)
+        self.sock.close()
+        if self.on_close is not None:
+            self.on_close(self)
+
+    def _flush(self) -> None:
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            while self.head is not None or self.queue:
+                if self.head is None:
+                    self.head = memoryview(self.queue.popleft())
+                sent = self.sock.send(self.head)
+                self.head = self.head[sent:] if sent < len(self.head) else None
+        except BlockingIOError:
             pass
+        except OSError as exc:
+            log.debug("connection closed: %s", exc)
+            self.close()
+            return
+        mask = selectors.EVENT_READ | (selectors.EVENT_WRITE if self.head is not None else 0)
+        if mask != self._mask:
+            self._mask = mask
+            self.loop.sel.modify(self.sock, mask, self._ready)
+
+    def _ready(self, mask) -> None:
+        if mask & selectors.EVENT_WRITE:
+            self._flush()
+        if self.closed or not mask & selectors.EVENT_READ:
+            return
         try:
-            self.sock.close()
-        except OSError:
-            pass
+            data = self.sock.recv(65536)
+            if data:
+                self.inbuf += data
+                self.on_data(self)
+                return
+        except BlockingIOError:
+            return
+        except (OSError, OverlayError) as exc:
+            log.debug("connection closed: %s", exc)
+        except Exception:
+            log.exception("closing connection after an unexpected error")
+        self.close()
 
 
 class RegistryDaemon:
@@ -150,167 +286,117 @@ class RegistryDaemon:
         self.control = ControlPlane(config, self._push_table, sink)
         self.registry = self.control.registry
         self.supervisor = self.control.supervisor
-        self._notify_conns: set = set()
-        self._lock = threading.RLock()
-        self._conns: set = set()
-        self._by_reflector: dict = {}     # reflector id -> _LineConn
-        self._subscribers: dict = {}      # _LineConn -> Subscription
-        self._server: Optional[socketserver.ThreadingTCPServer] = None
-        self._stop = threading.Event()
-        self._threads: list = []
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
+        self._by_reflector: dict = {}     # reflector id -> control _Conn
+        self._subscribers: dict = {}      # _Conn -> Subscription
+        self._loop = _Loop()
 
     def start(self) -> None:
-        daemon = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                daemon._serve_conn(self.request)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server(self.listen_address, Handler)
-        self._threads = [
-            threading.Thread(target=self._server.serve_forever, daemon=True),
-            threading.Thread(target=self._periodic_loop, daemon=True),
-        ]
-        for t in self._threads:
-            t.start()
-        log.info("registry listening on %s:%d", *self._server.server_address[:2])
+        accept = partial(_Conn, self._loop, on_data=self._on_lines, on_close=self._on_close,
+                         limit=self.config.subscriber_queue)
+        self.port = self._loop.listen(self.listen_address, accept).getsockname()[1]
+        self._loop.every(self.config.publish_interval_ms / 1000.0, self._publish)
+        self._loop.every(self.config.optimizer_period_ms / 1000.0, self._optimize)
+        self._loop.every(self.config.probe_interval_ms / 1000.0, self._supervise)
+        self._loop.start("registry")
+        log.info("registry listening on %s:%d", self.listen_address[0], self.port)
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            conn.close()
+        self._loop.stop()
 
     def run_forever(self) -> None:
-        try:
-            while not self._stop.wait(0.5):
-                pass
-        except KeyboardInterrupt:
-            self.stop()
+        self._loop.wait()
 
     # --- connection handling ---
 
-    def _serve_conn(self, sock: socket.socket) -> None:
-        conn = _LineConn(sock, queue_size=self.config.subscriber_queue)
-        with self._lock:
-            self._conns.add(conn)
-        reflector_id = None
-        try:
-            while True:
-                line = conn.readline()
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    msg = decode_message(line)
-                except SchemaError as exc:
-                    conn.send(make_ack(False, error="SchemaError: %s" % exc))
-                    continue
-                reflector_id = self._dispatch(conn, msg, reflector_id)
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-                self._subscribers.pop(conn, None)
-                self._notify_conns.discard(conn)
-                if reflector_id is not None and self._by_reflector.get(reflector_id) is conn:
-                    del self._by_reflector[reflector_id]
-            conn.close()
+    def _on_close(self, conn: _Conn) -> None:
+        self._subscribers.pop(conn, None)
+        self._by_reflector = {r: c for r, c in self._by_reflector.items() if c is not conn}
 
-    def _dispatch(self, conn: _LineConn, msg: dict, reflector_id):
+    def _on_lines(self, conn: _Conn) -> None:
+        while (line := _pop_line(conn.inbuf)) is not None:
+            if not line.strip():
+                continue
+            try:
+                msg = decode_message(line)
+            except SchemaError as exc:
+                conn.send_msg(make_ack(False, error="SchemaError: %s" % exc))
+                continue
+            self._dispatch(conn, msg)
+
+    def _dispatch(self, conn: _Conn, msg: dict) -> None:
         kind = msg["kind"]
-        with self._lock:
-            if kind == "register":
-                try:
-                    epoch = self.registry.register(
-                        RegistryEntry(
-                            reflector=msg["reflector"],
-                            control_address=msg["address"],
-                            region=msg.get("region", ""),
-                            registered_at=now_ms(),
-                            last_heartbeat=now_ms(),
-                        )
+        if kind == "register":
+            try:
+                epoch = self.registry.register(
+                    RegistryEntry(
+                        reflector=msg["reflector"],
+                        control_address=msg["address"],
+                        region=msg.get("region", ""),
+                        registered_at=now_ms(),
+                        last_heartbeat=now_ms(),
                     )
-                except (DuplicateId, OverlayError) as exc:
-                    conn.send(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
-                    return reflector_id
-                self._by_reflector[msg["reflector"]] = conn
-                record = self.supervisor.watch(msg["reflector"])
-                if record.state is HealthState.FAILED:
-                    # A restarted reflector re-registering is the only way
-                    # out of Failed in daemon mode.
-                    self.supervisor.clear_failed(msg["reflector"])
-                conn.send(make_ack(True, epoch=epoch))
-                return msg["reflector"]
-            if kind == "deregister":
-                try:
-                    self.control.deregister(msg["reflector"])
-                except UnknownReflector as exc:
-                    conn.send(make_ack(False, error=str(exc)))
-                    return reflector_id
-                self._by_reflector.pop(msg["reflector"], None)
-                conn.send(make_ack(True))
-                return None
-            if kind == "heartbeat":
-                try:
-                    self.registry.heartbeat(msg["reflector"], msg.get("at") or now_ms())
-                except UnknownReflector:
-                    conn.send(make_ack(False, error="UnknownReflector"))
-                return reflector_id
-            if kind == "advertise":
-                try:
-                    self.registry.advertise_membership(msg["reflector"], set(msg["rooms"]))
-                except UnknownReflector:
-                    conn.send(make_ack(False, error="UnknownReflector"))
-                return reflector_id
-            if kind == "subscribe":
-                try:
-                    sub = self.monitor.subscribe(
-                        msg["filter"],
-                        reflectors=msg.get("reflectors"),
-                        min_interval_ms=msg.get("min_interval_ms", 0.0),
-                    )
-                except OverlayError as exc:
-                    conn.send(make_ack(False, error="BadPattern: %s" % exc))
-                    return reflector_id
-                self._subscribers[conn] = sub
-                self._notify_conns.add(conn)
-                conn.send(make_ack(True))
-                for sample in sub.drain():
-                    conn.send(make_metric_event(sample))
-                snap = self.registry.latest_snapshot
-                if snap is not None:
-                    conn.send(make_snapshot(snap))
-                return reflector_id
-            if kind == "snapshot":
-                snap = self.registry.latest_snapshot
-                if snap is None:
-                    snap = self.registry.publish_snapshot(now_ms())
-                conn.send(make_snapshot(snap))
-                return reflector_id
-            if kind == "event" and msg.get("event") == "metric":
-                sample = metric_sample_from_event(msg)
-                self.monitor.record(sample)
-                self._derive_link(sample)
-                self._flush_subscribers()
-                return reflector_id
-            if kind == "probe":
-                conn.send(make_probe_reply(0, self.registry.routing_epoch))
-                return reflector_id
-        conn.send(make_ack(False, error="unsupported kind %r" % kind))
-        return reflector_id
+                )
+            except OverlayError as exc:
+                conn.send_msg(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
+                return
+            self._by_reflector[msg["reflector"]] = conn
+            record = self.supervisor.watch(msg["reflector"])
+            if record.state is HealthState.FAILED:
+                # A restarted reflector re-registering is the only way
+                # out of Failed in daemon mode.
+                self.supervisor.clear_failed(msg["reflector"])
+            conn.send_msg(make_ack(True, epoch=epoch))
+        elif kind == "deregister":
+            try:
+                self.control.deregister(msg["reflector"])
+            except UnknownReflector as exc:
+                conn.send_msg(make_ack(False, error=str(exc)))
+                return
+            self._by_reflector.pop(msg["reflector"], None)
+            conn.send_msg(make_ack(True))
+        elif kind == "heartbeat":
+            try:
+                self.registry.heartbeat(msg["reflector"], msg.get("at") or now_ms())
+            except UnknownReflector:
+                conn.send_msg(make_ack(False, error="UnknownReflector"))
+        elif kind == "advertise":
+            try:
+                self.registry.advertise_membership(msg["reflector"], set(msg["rooms"]))
+            except UnknownReflector:
+                conn.send_msg(make_ack(False, error="UnknownReflector"))
+        elif kind == "subscribe":
+            try:
+                sub = self.monitor.subscribe(
+                    msg["filter"],
+                    reflectors=msg.get("reflectors"),
+                    min_interval_ms=msg.get("min_interval_ms", 0.0),
+                )
+            except OverlayError as exc:
+                conn.send_msg(make_ack(False, error="BadPattern: %s" % exc))
+                return
+            self._subscribers[conn] = sub
+            conn.send_msg(make_ack(True))
+            for sample in sub.drain():
+                conn.send_msg(make_metric_event(sample))
+            snap = self.registry.latest_snapshot
+            if snap is not None:
+                conn.send_msg(make_snapshot(snap))
+        elif kind == "snapshot":
+            snap = self.registry.latest_snapshot
+            if snap is None:
+                snap = self.registry.publish_snapshot(now_ms())
+            conn.send_msg(make_snapshot(snap))
+        elif kind == "event" and msg.get("event") == "metric":
+            sample = metric_sample_from_event(msg)
+            self.monitor.record(sample)
+            self._derive_link(sample)
+            for sub_conn, sub in list(self._subscribers.items()):
+                for queued in sub.drain():
+                    sub_conn.send_msg(make_metric_event(queued))
+        elif kind == "probe":
+            conn.send_msg(make_probe_reply(0, self.registry.routing_epoch))
+        else:
+            conn.send_msg(make_ack(False, error="unsupported kind %r" % kind))
 
     def _derive_link(self, sample: MetricSample) -> None:
         """Uplinked peer.<id>.rtt_ms samples define the overlay's link table."""
@@ -336,47 +422,27 @@ class RegistryDaemon:
             MetricSample(sample.reflector, "peer.%d.quality" % peer, current.q, sample.at)
         )
 
-    def _flush_subscribers(self) -> None:
-        for conn, sub in list(self._subscribers.items()):
-            for sample in sub.drain():
-                conn.send(make_metric_event(sample))
-
     # --- periodic work (publish, optimize, supervise) ---
 
-    def _periodic_loop(self) -> None:
-        interval_s = min(
-            self.config.publish_interval_ms,
-            self.config.optimizer_period_ms,
-            self.config.probe_interval_ms,
-        ) / 1000.0
-        interval_s = max(0.05, min(interval_s, 1.0))
-        last_publish = last_optimize = last_probe = 0.0
-        while not self._stop.wait(interval_s):
-            now = now_ms()
-            with self._lock:
-                if now - last_publish >= self.config.publish_interval_ms:
-                    last_publish = now
-                    snap = self.registry.publish_snapshot(now)
-                    for conn in list(self._subscribers):
-                        conn.send(make_snapshot(snap))
-                if now - last_optimize >= self.config.optimizer_period_ms:
-                    last_optimize = now
-                    report = self.control.cycle(now)
-                    if report is not None:
-                        log.info("routing epoch %d installed (%d acks, %d failures)",
-                                 report.epoch, len(report.acks), len(report.failures))
-                if now - last_probe >= self.config.probe_interval_ms:
-                    last_probe = now
-                    self._supervise(now)
-                self._flush_subscribers()
+    def _publish(self) -> None:
+        snap = self.registry.publish_snapshot(now_ms())
+        for conn in list(self._subscribers):
+            conn.send_msg(make_snapshot(snap))
+
+    def _optimize(self) -> None:
+        report = self.control.cycle(now_ms())
+        if report is not None:
+            log.info("routing epoch %d installed (%d acks, %d failures)",
+                     report.epoch, len(report.acks), len(report.failures))
 
     def _push_table(self, rid: int, table) -> None:
         conn = self._by_reflector.get(rid)
-        if conn is None or conn.closed.is_set():
+        if conn is None:
             raise RegistryUnreachable("no control connection for reflector %d" % rid)
-        conn.send(make_install_routing(rid, table))
+        conn.send_msg(make_install_routing(rid, table))
 
-    def _supervise(self, now: float) -> None:
+    def _supervise(self) -> None:
+        now = now_ms()
         stale_after = self.config.heartbeat_interval_ms + self.config.probe_deadline_ms
         results = {}
         for rid in self.supervisor.probe_targets():
@@ -385,14 +451,14 @@ class RegistryDaemon:
             results[rid] = ProbeResult.OK if alive else ProbeResult.NO_ANSWER
         for action in self.supervisor.supervise_tick(results, now):
             if isinstance(action, RestartCommand):
-                log.warning("restart requested for reflector %d (attempt %d); no restart "
-                            "command configured", action.reflector, action.attempt)
+                log.warning("restart requested for reflector %d (attempt %d); daemon mode "
+                            "does not restart reflectors", action.reflector, action.attempt)
             elif isinstance(action, NotificationEvent):
                 msg = make_notification_event(
                     action.reflector, action.reason, action.at, action.recipients
                 )
-                for conn in list(self._notify_conns):
-                    conn.send(msg)
+                for conn in list(self._subscribers):
+                    conn.send_msg(msg)
 
 
 class _LogSink:
@@ -408,261 +474,195 @@ class ReflectorDaemon:
         if config.reflector_id < 1:
             raise ConfigError("reflector_id must be set (>= 1)")
         self.config = config
-        self.engine = ReflectorEngine(config.reflector_id,
-                                      on_membership_change=self._advertise)
+        self.engine = ReflectorEngine(config.reflector_id, on_membership_change=self._advertise)
         self.collector = MetricCollector(config.reflector_id, started_at=now_ms())
         self.peers = dict(peers or {})      # peer id -> "host:port"
-        self._peer_conns: dict = {}         # peer id -> socket
-        self._client_conns: dict = {}       # client id -> socket
-        self._control: Optional[_LineConn] = None
-        self._listener: Optional[socket.socket] = None
-        self._lock = threading.RLock()
-        self._stop = threading.Event()
-        self.registered = threading.Event()
-        self.register_error: Optional[str] = None
-
-    @property
-    def port(self) -> int:
-        return self._listener.getsockname()[1]
+        self._peer_conns: dict = {}         # peer id -> _Conn carrying media
+        self._probes: dict = {}             # peer id -> _Conn of the open probe round
+        self._links: list = []              # LinkStats the open probe round measured
+        self._control: Optional[_Conn] = None
+        self._loop = _Loop(final=self._goodbye)
 
     @property
     def stopping(self) -> bool:
-        return self._stop.is_set()
+        return self._loop.stopped.is_set()
 
     def start(self) -> None:
         host, port = parse_hostport(self.config.listen)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-
-        sock = socket.create_connection(parse_hostport(self.config.registry_address), timeout=5.0)
-        self._control = _LineConn(sock)
-        self._control.send(
-            make_register(
-                self.config.reflector_id,
-                "%s:%d" % (host, self.port),
-                self.config.region,
-            )
-        )
-        threading.Thread(target=self._control_loop, daemon=True).start()
-        if not self.registered.wait(timeout=5.0):
-            raise RegistryUnreachable("no registration ack from registry")
-        if self.register_error:
-            raise RegistryUnreachable(self.register_error)
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-        threading.Thread(target=self._heartbeat_loop, daemon=True).start()
-        threading.Thread(target=self._collect_loop, daemon=True).start()
+        accept = partial(_Conn, self._loop, on_data=self._on_hello)
+        self.port = self._loop.listen((host, port), accept).getsockname()[1]
+        try:
+            self._register("%s:%d" % (host, self.port))
+        except BaseException:
+            self._loop.close()
+            raise
+        self._loop.every(min(self.config.heartbeat_interval_ms / 1000.0, 1.0), self._heartbeat)
+        self._loop.every(min(self.config.monitor_interval_ms / 1000.0, 1.0), self._probe_round)
+        self._loop.start("reflector-%d" % self.config.reflector_id)
         log.info("reflector %d listening on %s:%d", self.config.reflector_id, host, self.port)
 
     def shutdown(self) -> None:
-        """Deregister cleanly and stop all loops."""
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        if self._control is not None and not self._control.closed.is_set():
-            self._control.send(make_deregister(self.config.reflector_id))
-            time.sleep(0.1)  # let the writer flush the goodbye
-            self._control.close()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            for sock in list(self._client_conns.values()) + list(self._peer_conns.values()):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        """Deregister cleanly and stop the loop."""
+        self._loop.stop()
 
     def run_forever(self) -> None:
-        try:
-            while not self._stop.wait(0.5):
-                pass
-        except KeyboardInterrupt:
-            self.shutdown()
+        self._loop.wait()
 
     # --- control plane ---
 
-    def _control_loop(self) -> None:
-        first_ack = True
-        while not self._stop.is_set():
-            line = self._control.readline()
-            if line is None:
-                break
+    def _register(self, address: str) -> None:
+        """Blocking register/ack exchange; the control socket then joins the loop."""
+        sock = socket.create_connection(parse_hostport(self.config.registry_address), timeout=5.0)
+        conn = self._control = _Conn(self._loop, sock, self._on_control,
+                                     limit=self.config.subscriber_queue)
+        sock.settimeout(5.0)
+        try:
+            conn.send_msg(make_register(self.config.reflector_id, address, self.config.region))
+            while (line := _pop_line(conn.inbuf)) is None:
+                data = sock.recv(4096)
+                if not data:
+                    raise RegistryUnreachable("registry closed the connection")
+                conn.inbuf += data
+            ack = decode_message(line)
+        except (socket.timeout, SchemaError) as exc:
+            raise RegistryUnreachable("no registration ack from registry: %s" % exc) from None
+        sock.setblocking(False)
+        if ack["kind"] != "ack" or not ack["ok"]:
+            raise RegistryUnreachable(ack.get("error", "registration rejected"))
+        self._on_control(conn)  # whatever arrived together with the ack
+
+    def _goodbye(self) -> None:
+        if self._control is not None and not self._control.closed:
+            # Blocking for a moment, so what is queued and the goodbye go out.
+            self._control.sock.settimeout(1.0)
+            self._control.send_msg(make_deregister(self.config.reflector_id))
+
+    def _on_control(self, conn: _Conn) -> None:
+        while (line := _pop_line(conn.inbuf)) is not None:
             try:
                 msg = decode_message(line)
             except SchemaError:
                 continue
-            if msg["kind"] == "ack" and first_ack:
-                first_ack = False
-                if not msg["ok"]:
-                    self.register_error = msg.get("error", "registration rejected")
-                self.registered.set()
-            elif msg["kind"] == "install_routing" and msg["reflector"] == self.config.reflector_id:
-                table = routing_table_from_message(msg)
+            if msg["kind"] == "install_routing" and msg["reflector"] == self.config.reflector_id:
                 try:
-                    self.engine.swap_routing_table(table)
+                    self.engine.swap_routing_table(routing_table_from_message(msg))
                 except OverlayError as exc:
                     log.warning("rejected routing table: %s", exc)
 
     def _advertise(self, rooms) -> None:
-        if self._control is not None and not self._control.closed.is_set():
-            self._control.send(make_advertise(self.config.reflector_id, rooms))
+        self._control.send_msg(make_advertise(self.config.reflector_id, rooms))
 
-    def _heartbeat_loop(self) -> None:
-        interval = self.config.heartbeat_interval_ms / 1000.0
-        while not self._stop.wait(min(interval, 1.0)):
-            self._control.send(make_heartbeat(self.config.reflector_id, now_ms()))
+    def _heartbeat(self) -> None:
+        self._control.send_msg(make_heartbeat(self.config.reflector_id, now_ms()))
 
-    def _collect_loop(self) -> None:
-        interval = self.config.monitor_interval_ms / 1000.0
-        while not self._stop.wait(min(interval, 1.0)):
-            links = self._probe_peers()
-            for sample in self.collector.collect(self.engine, links, None, now_ms()):
-                self._control.send(make_metric_event(sample))
+    def _probe_round(self) -> None:
+        """Measure peer RTT over short probe connections, then uplink one collection.
 
-    def _probe_peers(self) -> list:
-        """Measure peer RTT over short probe connections."""
-        links = []
+        The collection goes out once every probe has answered, failed or hit
+        the timeout; no new round starts while one is open.
+        """
+        if self._probes:
+            return
+        self._links = []
         for peer_id, address in sorted(self.peers.items()):
-            started = time.monotonic()
-            try:
-                with socket.create_connection(parse_hostport(address), timeout=2.0) as sock:
-                    sock.sendall(encode_message(make_probe()).encode("utf-8"))
-                    reply = sock.makefile("r").readline()
-                rtt_ms = (time.monotonic() - started) * 1000.0
-                decode_message(reply)
-            except (OSError, SchemaError):
-                continue
-            links.append(
-                LinkStats(
-                    link=link_key(self.config.reflector_id, peer_id),
-                    rtt_ms=rtt_ms,
-                    loss_fraction=0.0,
-                    capacity_kbps=RegistryDaemon.DEFAULT_LINK_CAPACITY_KBPS,
-                    sampled_at=now_ms(),
-                )
-            )
-        return links
+            self._probes[peer_id] = self._connect(
+                address, partial(self._probe_reply, peer_id, time.monotonic()),
+                partial(self._probe_done, peer_id))
+        probes = list(self._probes.values())
+        # Every probe is open before any is sent, so one that fails at once
+        # cannot end the round early.
+        for conn in probes:
+            conn.send_msg(make_probe())
+        if not probes:
+            self._probe_done(None, None)
+        self._loop.call_later(PROBE_TIMEOUT_S, lambda: [conn.close() for conn in probes])
+
+    def _probe_reply(self, peer_id: int, started: float, conn: _Conn) -> None:
+        line = _pop_line(conn.inbuf)
+        if line is None:
+            return
+        rtt_ms = (time.monotonic() - started) * 1000.0
+        decode_message(line)  # a malformed reply closes the probe: no link
+        self._links.append(LinkStats(
+            link=link_key(self.config.reflector_id, peer_id), rtt_ms=rtt_ms, loss_fraction=0.0,
+            capacity_kbps=RegistryDaemon.DEFAULT_LINK_CAPACITY_KBPS, sampled_at=now_ms()))
+        conn.close()
+
+    def _probe_done(self, peer_id: Optional[int], conn: Optional[_Conn]) -> None:
+        self._probes.pop(peer_id, None)
+        if not self._probes:
+            for sample in self.collector.collect(self.engine, self._links, None, now_ms()):
+                self._control.send_msg(make_metric_event(sample))
 
     # --- media plane ---
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_media, args=(sock,), daemon=True).start()
-
-    def _serve_media(self, sock: socket.socket) -> None:
-        """Hello line decides the role; then the socket carries media frames."""
-        rfile = sock.makefile("rb")
-        hello_line = rfile.readline()
-        if not hello_line:
-            sock.close()
-            return
+    def _connect(self, address: str, on_data: Callable, on_close: Callable) -> _Conn:
+        """Non-blocking connect; its completion or failure shows up on the loop."""
+        conn = _Conn(self._loop, socket.socket(socket.AF_INET, socket.SOCK_STREAM),
+                     on_data, on_close)
         try:
-            hello = decode_message(hello_line.decode("utf-8"))
-        except (SchemaError, UnicodeDecodeError):
-            sock.close()
+            conn.sock.connect_ex(parse_hostport(address))
+        except OSError:  # the address does not resolve
+            self._loop.call_later(0.0, conn.close)
+        return conn
+
+    def _on_hello(self, conn: _Conn) -> None:
+        """Hello line decides the role; then the socket carries media frames."""
+        line = _pop_line(conn.inbuf)
+        if line is None:
             return
+        hello = decode_message(line)
         if hello["kind"] == "probe":
-            try:
-                sock.sendall(
-                    encode_message(
-                        make_probe_reply(self.config.reflector_id, self.engine.routing.epoch)
-                    ).encode("utf-8")
-                )
-            except OSError:
-                pass
-            sock.close()
+            conn.send_msg(make_probe_reply(self.config.reflector_id, self.engine.routing.epoch))
+            conn.close()
             return
-        if hello["kind"] != "hello":
-            sock.close()
-            return
-        if hello["role"] == "client":
+        role = hello["role"] if hello["kind"] == "hello" else None
+        if role == "client":
             client = hello["client"]
-            with self._lock:
-                self._client_conns[client] = sock
-            self.engine.attach_client(client, sock)
+            self.engine.attach_client(client, conn)
             for room in hello.get("rooms", ()):
                 self.engine.join_room(client, room)
-            self._media_read_loop(rfile, LocalClient(client), cleanup=client)
-        elif hello["role"] == "peer":
+            conn.on_data = partial(self._on_media, LocalClient(client))
+            conn.on_close = lambda c: self.engine.detach_client(client)
+        elif role == "peer":
             peer = hello["reflector"]
-            with self._lock:
-                self._peer_conns.setdefault(peer, sock)
-            self._media_read_loop(rfile, Peer(peer), cleanup=None)
+            self._peer_conns.setdefault(peer, conn)
+            conn.on_data = partial(self._on_media, Peer(peer))
+            conn.on_close = partial(self._drop_peer, peer)
         else:
-            sock.close()
+            conn.close()
+            return
+        conn.on_data(conn)  # frames that came with the hello
 
-    def _media_read_loop(self, rfile, ingress, cleanup) -> None:
-        buf = b""
-        try:
-            while not self._stop.is_set():
-                size = frame_size(buf)
-                while size is None or len(buf) < size:
-                    chunk = rfile.read1(65536)
-                    if not chunk:
-                        return
-                    buf += chunk
-                    size = frame_size(buf)
-                packet, consumed = read_media_packet(buf)
-                buf = buf[consumed:]
-                self._handle_packet(packet, ingress)
-        except (OSError, OverlayError) as exc:
-            log.debug("media connection closed: %s", exc)
-        finally:
-            if cleanup is not None:
-                with self._lock:
-                    self._client_conns.pop(cleanup, None)
-                self.engine.detach_client(cleanup)
+    def _on_media(self, ingress, conn: _Conn) -> None:
+        """Validate each whole frame, then relay its original bytes."""
+        buf = conn.inbuf
+        offset = 0
+        while len(buf) - offset >= HEADER_SIZE:
+            try:
+                packet, end = read_media_packet(buf, offset)
+            except Truncated:
+                break
+            frame = bytes(buf[offset:end])
+            offset = end
+            for action in self.engine.forward(packet, ingress):
+                if isinstance(action, DeliverLocal):
+                    dest = self.engine.endpoint(action.client)
+                else:
+                    dest = self._peer_conn(action.reflector)
+                if dest is not None:
+                    dest.send(frame)
+        del buf[:offset]
 
-    def _handle_packet(self, packet, ingress) -> None:
-        frame = encode_media_packet(packet)
-        for action in sorted(
-            self.engine.forward(packet, ingress),
-            key=lambda a: (0, a.client) if isinstance(a, DeliverLocal) else (1, a.reflector),
-        ):
-            if isinstance(action, DeliverLocal):
-                sock = self._client_conns.get(action.client)
-                if sock is not None:
-                    try:
-                        sock.sendall(frame)
-                    except OSError:
-                        pass
-            else:
-                sock = self._peer_sock(action.reflector)
-                if sock is not None:
-                    try:
-                        sock.sendall(frame)
-                    except OSError:
-                        with self._lock:
-                            self._peer_conns.pop(action.reflector, None)
+    def _peer_conn(self, peer: int) -> Optional[_Conn]:
+        conn = self._peer_conns.get(peer)
+        if conn is not None or peer not in self.peers:
+            return conn
+        conn = self._peer_conns[peer] = self._connect(
+            self.peers[peer], partial(self._on_media, Peer(peer)), partial(self._drop_peer, peer))
+        conn.send_msg(make_hello_peer(self.config.reflector_id))
+        return conn
 
-    def _peer_sock(self, peer: int):
-        with self._lock:
-            sock = self._peer_conns.get(peer)
-        if sock is not None:
-            return sock
-        address = self.peers.get(peer)
-        if address is None:
-            return None
-        try:
-            sock = socket.create_connection(parse_hostport(address), timeout=2.0)
-            sock.sendall(
-                encode_message(make_hello_peer(self.config.reflector_id)).encode("utf-8")
-            )
-        except OSError:
-            return None
-        with self._lock:
-            self._peer_conns[peer] = sock
-        threading.Thread(
-            target=self._media_read_loop,
-            args=(sock.makefile("rb"), Peer(peer), None),
-            daemon=True,
-        ).start()
-        return sock
+    def _drop_peer(self, peer: int, conn: _Conn) -> None:
+        if self._peer_conns.get(peer) is conn:
+            del self._peer_conns[peer]

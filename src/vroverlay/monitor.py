@@ -202,9 +202,6 @@ class MetricStore:
         """Newest retained sample of every series, in series-creation order."""
         return [ring[-1][1] for ring in self._series.values() if ring]
 
-    def series_count(self) -> int:
-        return len(self._series)
-
     def total_samples(self) -> int:
         return self._total
 

@@ -37,15 +37,6 @@ class WeightedGraph:
     edges: Mapping[LinkKey, EdgeAttrs]
     built_from_epoch: int = 0
 
-    def neighbors(self, v: ReflectorId) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class TreeResult:

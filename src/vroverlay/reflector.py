@@ -9,7 +9,8 @@ overlay comes from the tree discipline of the installed routes.
 forward() reads the routing table through a single reference so that a
 packet observes either entirely the old or entirely the new table across an
 epoch swap, never a mixture. Membership and chair mutations are expected to
-be serialized by the caller (one control queue per reflector).
+be serialized by the caller; the reflector daemon makes every engine call
+from its one loop thread, so callers are serialized by construction.
 """
 from __future__ import annotations
 

@@ -130,9 +130,6 @@ class SimNetwork:
     def link(self, a: ReflectorId, b: ReflectorId) -> SimLink:
         return self.links[link_key(a, b)]
 
-    def has_link(self, a: ReflectorId, b: ReflectorId) -> bool:
-        return link_key(a, b) in self.links
-
     def set_link(self, a: ReflectorId, b: ReflectorId, **params) -> SimLink:
         link = self.link(a, b)
         for name, value in params.items():

@@ -46,6 +46,10 @@ def test_unknown_key_rejected_with_location(tmp_path):
         load_config(str(path))
     assert "bogus_key" in str(err.value)
     assert ":2" in str(err.value)
+    # Accepted keys must take effect; restart_command never did, so it is gone.
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(OverlayConfig(), {"restart_command": "systemctl restart vrvs"})
+    assert "restart_command" in str(err.value)
 
 
 def test_malformed_line_rejected(tmp_path):

@@ -217,3 +217,101 @@ def test_reregistration_clears_failed_and_rejoins_tree():
         sock.close()
         ref.shutdown()
         daemon.stop()
+
+
+def recv_frames(sock, count, buf, timeout=5.0):
+    """Read up to `count` frames, keeping a partial frame in `buf` for the next call.
+
+    Stops early when `timeout` passes with no data.
+    """
+    sock.settimeout(timeout)
+    packets = []
+    while len(packets) < count:
+        size = frame_size(buf)
+        if size is not None and len(buf) >= size:
+            packet, consumed = read_media_packet(buf)
+            packets.append(packet)
+            del buf[:consumed]
+            continue
+        try:
+            chunk = sock.recv(1 << 16)
+        except socket.timeout:
+            break
+        if not chunk:
+            break
+        buf += chunk
+    return packets
+
+
+def test_stalled_receiver_does_not_starve_the_others(registry):
+    ref = reflector(registry, 8)
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    try:
+        stalled.connect(("127.0.0.1", ref.port))
+        stalled.sendall(encode_message(make_hello_client(3, [5])).encode())
+        healthy = client_socket(ref.port, 2, [5])
+        sender = client_socket(ref.port, 1, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 3)
+        packets = [MediaPacket(room=5, src=1, seq=i, timestamp_ms=i,
+                               payload_type=PayloadType.VIDEO_H261,
+                               payload=bytes([i % 256]) * 60_000) for i in range(400)]
+        # The sender runs at most two batches of 50 ahead of the healthy
+        # receiver, far below the media queue bound, so a frame the receiver
+        # misses was held up behind the stalled client, not dropped.
+        window = threading.Semaphore(2)
+
+        def send_all():
+            try:
+                for start in range(0, len(packets), 50):
+                    if not window.acquire(timeout=10):
+                        return
+                    sender.sendall(b"".join(encode_media_packet(p)
+                                            for p in packets[start:start + 50]))
+            except OSError:
+                pass  # the reflector stopped reading; the receiver count shows it
+
+        thread = threading.Thread(target=send_all, daemon=True)
+        thread.start()
+        got, buf = [], bytearray()
+        while len(got) < len(packets):
+            batch = recv_frames(healthy, 50, buf)
+            got += batch
+            window.release()
+            if len(batch) < 50:
+                break
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(got) == len(packets)
+        assert got == packets
+        healthy.close()
+        sender.close()
+    finally:
+        stalled.close()
+        ref.shutdown()
+
+
+def test_malformed_frame_closes_only_its_own_connection(registry):
+    ref = reflector(registry, 9)
+    try:
+        bad = client_socket(ref.port, 1, [5])
+        good = client_socket(ref.port, 2, [5])
+        receiver = client_socket(ref.port, 3, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 3)
+        packet = MediaPacket(room=5, src=2, seq=7, timestamp_ms=70,
+                             payload_type=PayloadType.AUDIO_G711U, payload=b"x" * 300)
+        frame = encode_media_packet(packet)
+        broken = b"XX" + frame[2:]
+        bad.sendall(broken[:10])
+        time.sleep(0.05)
+        bad.sendall(broken[10:])
+        assert wait_for(lambda: ref.engine.client_count() == 2)
+        for cut in (7, 30, 200):
+            good.sendall(frame[:cut])
+            time.sleep(0.05)
+            good.sendall(frame[cut:])
+        assert recv_frames(receiver, 3, bytearray()) == [packet] * 3
+        for sock in (bad, good, receiver):
+            sock.close()
+    finally:
+        ref.shutdown()
