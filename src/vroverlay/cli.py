@@ -21,7 +21,6 @@ from .errors import BadPattern, ConfigError, RegistryUnreachable, SchemaError
 from .export import load_snapshot_document, render_dot_dict, render_snapshot_dict
 from .monitor import compile_pattern
 from .protocol import decode_message, encode_message, make_snapshot_request, make_subscribe
-from .sim import OverlaySim, load_scenario_file
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -182,13 +181,15 @@ def _is_bind_error(exc: OSError, listen: str) -> bool:
 
 
 def _sim_run(args) -> int:
+    # Imported here, so the daemons load neither the simulator nor jsonschema.
+    from .sim import OverlaySim, load_scenario_file
+
     scenario = load_scenario_file(args.scenario, seed_override=args.seed)
     sim = OverlaySim(scenario, monitoring=not args.no_monitoring)
     report = sim.run()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for event in report.trace:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+            report.write_trace(fh)
     if args.snapshot_out:
         from .export import snapshot_to_json
 

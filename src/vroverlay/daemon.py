@@ -496,8 +496,8 @@ class ReflectorDaemon:
         except BaseException:
             self._loop.close()
             raise
-        self._loop.every(min(self.config.heartbeat_interval_ms / 1000.0, 1.0), self._heartbeat)
-        self._loop.every(min(self.config.monitor_interval_ms / 1000.0, 1.0), self._probe_round)
+        self._loop.every(self.config.heartbeat_interval_ms / 1000.0, self._heartbeat)
+        self._loop.every(self.config.monitor_interval_ms / 1000.0, self._probe_round)
         self._loop.start("reflector-%d" % self.config.reflector_id)
         log.info("reflector %d listening on %s:%d", self.config.reflector_id, host, self.port)
 
@@ -623,7 +623,7 @@ class ReflectorDaemon:
             for room in hello.get("rooms", ()):
                 self.engine.join_room(client, room)
             conn.on_data = partial(self._on_media, LocalClient(client))
-            conn.on_close = lambda c: self.engine.detach_client(client)
+            conn.on_close = partial(self._drop_client, client)
         elif role == "peer":
             peer = hello["reflector"]
             self._peer_conns.setdefault(peer, conn)
@@ -662,6 +662,11 @@ class ReflectorDaemon:
             self.peers[peer], partial(self._on_media, Peer(peer)), partial(self._drop_peer, peer))
         conn.send_msg(make_hello_peer(self.config.reflector_id))
         return conn
+
+    def _drop_client(self, client: int, conn: _Conn) -> None:
+        # A later hello with the same id took over the endpoint: keep the client.
+        if self.engine.endpoint(client) is conn:
+            self.engine.detach_client(client)
 
     def _drop_peer(self, peer: int, conn: _Conn) -> None:
         if self._peer_conns.get(peer) is conn:

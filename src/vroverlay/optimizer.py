@@ -190,6 +190,8 @@ def max_flow(g: WeightedGraph, source: ReflectorId, sink: ReflectorId) -> FlowRe
     for (a, b), attrs in g.edges.items():
         residual[a][b] = attrs.capacity
         residual[b][a] = attrs.capacity
+    # Neighbours in ascending id order, once: only capacities change below.
+    residual = {u: dict(sorted(nbrs.items())) for u, nbrs in residual.items()}
 
     def bfs_path():
         parent = {source: None}
@@ -198,8 +200,8 @@ def max_flow(g: WeightedGraph, source: ReflectorId, sink: ReflectorId) -> FlowRe
             u = queue.popleft()
             if u == sink:
                 break
-            for v in sorted(residual[u]):
-                if v not in parent and residual[u][v] > 0:
+            for v, capacity in residual[u].items():
+                if v not in parent and capacity > 0:
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
@@ -230,8 +232,8 @@ def max_flow(g: WeightedGraph, source: ReflectorId, sink: ReflectorId) -> FlowRe
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in sorted(residual[u]):
-            if v not in reachable and residual[u][v] > 0:
+        for v, capacity in residual[u].items():
+            if v not in reachable and capacity > 0:
                 reachable.add(v)
                 queue.append(v)
     min_cut = frozenset(

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..config import OverlayConfig, apply_overrides
 from ..control import ControlPlane
@@ -79,6 +81,64 @@ class MediaCounters:
     dropped_dead_peer: int = 0
 
 
+# Exact types whose finite values `%r` prints as `json.dumps` does. Matching
+# `type(v)` exactly leaves out `bool`, `IntEnum` members and other subclasses.
+_REPR_IS_JSON = frozenset((int, float))
+_CHUNK_EVENTS = 256  # about 100 KiB of text at a time, so hashing adds no peak memory
+
+
+def _line_template(event: dict):
+    """(size, fetch, template) for events shaped like `event`, else None.
+
+    The template is the event's sorted JSON object with the `kind` string
+    written in and one `%r` slot per other field, filled from `fetch`.
+    """
+    names = sorted(event)
+    fields = [name for name in names if name != "kind"]
+    if len(fields) < 2 or not all(type(name) is str for name in names):
+        return None  # itemgetter of one name returns a bare value, not a tuple
+
+    def literal(value) -> str:
+        return json.dumps(value).replace("%", "%%")
+
+    slots = ["%s: %s" % (literal(name), literal(event["kind"]) if name == "kind" else "%r")
+             for name in names]
+    return len(names), itemgetter(*fields), "{%s}" % ", ".join(slots)
+
+
+def _trace_line(event: dict, templates: dict) -> str:
+    """Exactly `json.dumps(event, sort_keys=True)`, by template where that is exact.
+
+    `templates` caches one template per `kind`. It is used only when the
+    event has that template's key set and every other value is a finite
+    `int` or `float`; any other event goes through `json.dumps`.
+    """
+    try:
+        kind = event["kind"]
+        if type(kind) is str:
+            if kind not in templates:
+                templates[kind] = _line_template(event)
+            shape = templates[kind]
+            if shape is not None:
+                size, fetch, template = shape
+                if len(event) == size:
+                    values = fetch(event)  # KeyError: another key set of that size
+                    if (_REPR_IS_JSON.issuperset(map(type, values))
+                            and math.isfinite(math.fsum(values))):
+                        return template % values
+    except (KeyError, TypeError, OverflowError, ValueError):
+        pass
+    return json.dumps(event, sort_keys=True)
+
+
+def _trace_chunks(trace: list):
+    """The trace as JSON lines, each ending in a newline, `_CHUNK_EVENTS` lines per chunk."""
+    templates: dict = {}
+    for start in range(0, len(trace), _CHUNK_EVENTS):
+        chunk = trace[start:start + _CHUNK_EVENTS]
+        yield "\n".join([_trace_line(event, templates) for event in chunk]) + "\n"
+
+
 @dataclass
 class SimReport:
     scenario: str
@@ -100,11 +160,15 @@ class SimReport:
         return not self.violations
 
     def trace_hash(self) -> str:
+        """sha256 of the JSON-lines trace that `write_trace` writes."""
         digest = hashlib.sha256()
-        for event in self.trace:
-            digest.update(json.dumps(event, sort_keys=True).encode())
-            digest.update(b"\n")
+        for chunk in _trace_chunks(self.trace):
+            digest.update(chunk.encode())
         return digest.hexdigest()
+
+    def write_trace(self, fh) -> None:
+        """Write the trace to a text file, one `json.dumps(event, sort_keys=True)` per line."""
+        fh.writelines(_trace_chunks(self.trace))
 
     def summary_lines(self) -> list:
         lines = [

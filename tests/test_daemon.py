@@ -315,3 +315,42 @@ def test_malformed_frame_closes_only_its_own_connection(registry):
             sock.close()
     finally:
         ref.shutdown()
+
+
+def test_reflector_timers_follow_intervals_above_one_second(registry):
+    cfg = load_config(None, {**FAST, "registry_address": "127.0.0.1:%d" % registry.port,
+                             "reflector_id": 4, "listen": "127.0.0.1:0",
+                             "heartbeat_interval_ms": 2500, "monitor_interval_ms": 2500})
+    ref = ReflectorDaemon(cfg)
+    started = time.monotonic()
+    ref.start()
+    try:
+        # The heartbeat and the probe round are the only timers, both first
+        # due one whole interval after start.
+        delays = [due - started for due, _, _ in list(ref._loop._timers)]
+        assert len(delays) == 2
+        assert all(2.5 <= delay < 3.5 for delay in delays), delays
+    finally:
+        ref.shutdown()
+
+
+def test_closing_a_replaced_client_connection_keeps_the_new_one(registry):
+    ref = reflector(registry, 6)
+    try:
+        first = client_socket(ref.port, 4, [5])
+        assert wait_for(lambda: ref.engine.endpoint(4) is not None)
+        first_conn = ref.engine.endpoint(4)
+        second = client_socket(ref.port, 4, [5])
+        assert wait_for(lambda: ref.engine.endpoint(4) not in (None, first_conn))
+        first.close()
+        assert wait_for(lambda: first_conn.closed)
+        sender = client_socket(ref.port, 1, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 2)
+        packet = MediaPacket(room=5, src=1, seq=1, timestamp_ms=1,
+                             payload_type=PayloadType.AUDIO_G711U, payload=b"still here")
+        sender.sendall(encode_media_packet(packet))
+        assert recv_frame(second) == packet
+        second.close()
+        sender.close()
+    finally:
+        ref.shutdown()

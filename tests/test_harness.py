@@ -1,12 +1,18 @@
 """End-to-end overlay behavior on the discrete-event harness."""
+import hashlib
+import json
 import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vroverlay.cli import main
 from vroverlay.model import MediaPacket, PayloadType
 from vroverlay.reflector import MuteAudio, SelectSpeaker
 from vroverlay.sim import OverlaySim, load_scenario, load_scenario_file
+from vroverlay.sim.harness import _trace_line
 from vroverlay.supervisor import HealthState
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -101,6 +107,70 @@ def test_bundled_scenarios_deterministic_trace_hashes():
         second = OverlaySim(load_scenario_file(path)).run()
         assert first.trace_hash() == second.trace_hash(), name
         assert first.trace_hash() == expected, name
+
+
+def test_sim_run_trace_file_hashes_to_the_printed_trace_hash(tmp_path, capsys):
+    for name in BUNDLED_TRACE_HASHES:
+        out_path = tmp_path / ("%s.trace.jsonl" % name)
+        main(["sim", "run", os.path.join(SCENARIOS, "%s.json" % name), "--trace", str(out_path)])
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("trace hash: ")]
+        assert printed == ["trace hash: %s" % hashlib.sha256(out_path.read_bytes()).hexdigest()]
+
+
+# --- trace line encoding ---
+
+class _Float(float):
+    pass
+
+
+_ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.sampled_from(PayloadType),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308, -1e308,
+                     10 ** 400, -(10 ** 400)]),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.text(),
+    st.sampled_from(["%", "%r", "%%s", '"', "\\", "caf\u00e9", "\u2028", "\U0001f600"]),
+    st.none(),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3),
+                       st.lists(st.integers(), max_size=2)), max_size=3),
+)
+_TRACE_VALUES = st.one_of(st.integers(), st.floats(), _ODD_VALUES)
+_TRACE_EVENTS = st.builds(
+    lambda kind, t, fields: {"t": t, "kind": kind, **fields},
+    st.sampled_from(["forward", "deliver", "100%", "50%%", 'say "hi"', "caf\u00e9"]),
+    st.one_of(st.floats(), st.integers()),
+    st.dictionaries(
+        st.sampled_from(["room", "src", "seq", "a%r", "%%s", 'q"uote', "\u00e9t\u00e9"]),
+        _TRACE_VALUES, max_size=4),
+)
+
+
+# An example takes microseconds, so a deadline would only time the host.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TRACE_EVENTS, max_size=12))
+@example([{"t": 1.5, "kind": "deliver", "room": 1, "seq": 2},
+          {"t": 2.5, "kind": "deliver", "room": True, "seq": 2},
+          {"t": 3.5, "kind": "deliver", "room": 1, "seq": float("inf")},
+          {"t": 4.5, "kind": "deliver", "room": 1, "seq": 10 ** 400},
+          {"t": 5.5, "kind": "deliver", "room": PayloadType.VIDEO_H261, "seq": -0.0}])
+def test_trace_line_equals_json_dumps(events):
+    templates = {}
+    for event in events:
+        assert _trace_line(event, templates) == json.dumps(event, sort_keys=True)
+
+
+def test_trace_line_other_key_set_of_a_cached_kind():
+    templates = {}
+    first = {"t": 1.0, "kind": "deliver", "room": 1, "seq": 2}
+    assert _trace_line(first, templates) == json.dumps(first, sort_keys=True)
+    assert templates["deliver"] is not None  # the kind now has a template
+    for event in ({"t": 2.0, "kind": "deliver", "room": 1, "src": 3},      # other key set
+                  {"t": 3.0, "kind": "deliver", "room": 1, "seq": 2, "src": 3},  # extra key
+                  {"t": 4.0, "kind": "deliver", "room": 1},                # missing key
+                  {"kind": "deliver", "room": 1, "seq": 2, "t": 5.0}):     # same set, other order
+        assert _trace_line(event, templates) == json.dumps(event, sort_keys=True)
 
 
 # --- recovery timing ---
