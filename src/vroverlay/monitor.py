@@ -2,8 +2,9 @@
 
 The embedded store is an in-memory ring per (reflector, metric name) series,
 bounded two ways: at most ``series_capacity`` samples per series, and a
-global byte budget estimated as retained-samples * SAMPLE_COST_BYTES. When
-the budget is exceeded the globally oldest retained sample is evicted first.
+global byte budget estimated as retained-samples * SAMPLE_COST_BYTES. Over
+budget, the globally oldest retained sample goes first: a FIFO of series
+keys in record order, skipping entries whose sample the ring already dropped.
 The defaults keep the whole store well under a 16 MB footprint.
 
 Subscribers attach a glob filter over metric names plus an optional
@@ -14,7 +15,6 @@ sample and counts it).
 from __future__ import annotations
 
 import fnmatch
-import heapq
 import itertools
 import re
 import sys
@@ -136,9 +136,9 @@ class MetricStore:
         self.max_total = max(1, budget_bytes // SAMPLE_COST_BYTES)
         self.regressions = 0
         self.evictions = 0
-        self._series: dict = {}        # (reflector, name) -> deque of (arrival, sample)
-        self._arrival = itertools.count()
-        self._heads: list = []         # lazy min-heap of (arrival of series head, key)
+        self._series: dict = {}        # (reflector, name) -> deque of samples
+        self._order: deque = deque()   # series key of every recorded sample, oldest first
+        self._stale: dict = {}         # key -> its leading _order entries the ring evicted
         self._total = 0
 
     def record(self, sample: MetricSample) -> str:
@@ -152,55 +152,60 @@ class MetricStore:
         key = (sample.reflector, sample.name)
         ring = self._series.get(key)
         if ring is None:
-            ring = deque()
-            self._series[key] = ring
-        if ring and sample.at < ring[-1][1].at:
+            ring = self._series[key] = deque(maxlen=self.series_capacity)
+        if ring and sample.at < ring[-1].at:
             self.regressions += 1
             return RecordResult.TIMESTAMP_REGRESSION
-        arrival = next(self._arrival)
-        if not ring:
-            heapq.heappush(self._heads, (arrival, key))
-        ring.append((arrival, sample))
-        self._total += 1
-        if len(ring) > self.series_capacity:
-            ring.popleft()
-            self._total -= 1
+        if len(ring) == self.series_capacity:  # the append drops the ring's oldest
             self.evictions += 1
-            heapq.heappush(self._heads, (ring[0][0], key))
+            self._stale[key] = self._stale.get(key, 0) + 1
+        else:
+            self._total += 1
+        ring.append(sample)
+        self._order.append(key)
         while self._total > self.max_total:
             self._evict_oldest()
+        if len(self._order) > 2 * self._total:
+            self._compact()
         return RecordResult.STORED
 
     def _evict_oldest(self) -> None:
-        while self._heads:
-            arrival, key = heapq.heappop(self._heads)
-            ring = self._series.get(key)
-            if not ring or ring[0][0] != arrival:
-                continue  # stale heap entry
+        while True:
+            key = self._order.popleft()
+            skip = self._stale.pop(key, 0)
+            if skip:  # this entry's sample already left its ring
+                if skip > 1:
+                    self._stale[key] = skip - 1
+                continue
+            ring = self._series[key]
             ring.popleft()
             self._total -= 1
             self.evictions += 1
-            if ring:
-                heapq.heappush(self._heads, (ring[0][0], key))
-            else:
+            if not ring:
                 del self._series[key]
             return
-        raise AssertionError("budget exceeded but no series to evict")
+
+    def _compact(self) -> None:
+        """Drop the order entries of samples their ring already evicted."""
+        stale, kept = self._stale, deque()
+        for key in self._order:
+            if stale.get(key):
+                stale[key] -= 1
+            else:
+                kept.append(key)
+        self._order, self._stale = kept, {}
 
     def query_range(self, reflector: ReflectorId, name: str, t_from: float, t_to: float) -> list:
         """Retained samples with t_from <= at <= t_to, ascending by time."""
-        ring = self._series.get((reflector, name))
-        if not ring:
-            return []
-        return [s for _, s in ring if t_from <= s.at <= t_to]
+        return [s for s in self._series.get((reflector, name), ()) if t_from <= s.at <= t_to]
 
     def head(self, reflector: ReflectorId, name: str) -> Optional[MetricSample]:
         ring = self._series.get((reflector, name))
-        return ring[-1][1] if ring else None
+        return ring[-1] if ring else None
 
     def heads(self) -> list:
         """Newest retained sample of every series, in series-creation order."""
-        return [ring[-1][1] for ring in self._series.values() if ring]
+        return [ring[-1] for ring in self._series.values() if ring]
 
     def total_samples(self) -> int:
         return self._total
@@ -209,8 +214,7 @@ class MetricStore:
         return self._total * SAMPLE_COST_BYTES
 
     def series_length(self, reflector: ReflectorId, name: str) -> int:
-        ring = self._series.get((reflector, name))
-        return len(ring) if ring else 0
+        return len(self._series.get((reflector, name), ()))
 
     def series_lengths(self) -> dict:
         return {key: len(ring) for key, ring in self._series.items()}

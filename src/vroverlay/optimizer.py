@@ -12,8 +12,9 @@ lexicographically so identical snapshots always produce identical results.
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import MemberOffTree, UnknownVertex
@@ -163,13 +164,7 @@ def reweigh_tree(tree: TreeResult, g: WeightedGraph) -> tuple:
     """
     dead = frozenset(e for e in tree.edges if e not in g.edges)
     total = sum(g.edges[e].weight for e in tree.edges if e in g.edges)
-    updated = TreeResult(
-        edges=tree.edges,
-        total_weight=total,
-        covers=tree.covers,
-        components=tree.components,
-    )
-    return updated, dead
+    return replace(tree, total_weight=total), dead
 
 
 def max_flow(g: WeightedGraph, source: ReflectorId, sink: ReflectorId) -> FlowResult:
@@ -279,51 +274,51 @@ def compute_room_routes(
     For every room, the pruned egress sets span exactly the union of
     pairwise tree paths between the reflectors hosting that room; a packet
     therefore reaches each hosting reflector once and touches nothing else.
+    Each component is rooted once, breadth-first from its smallest id; then
+    a room's hosts walk upward, deepest first, until their paths merge, so
+    a room costs its subtree's size times a log, not the forest's size.
     """
-    adjacency = tree.adjacency()
+    adjacency = {v: frozenset(n) for v, n in tree.adjacency().items()}
+    parent: dict = {}
+    component: dict = {}
+    # Breadth-first, one component after another: a parent ranks below its
+    # children, and each component's ranks are contiguous.
+    order: list = []
+    for root in sorted(tree.covers):
+        if root in component:
+            continue
+        parent[root], component[root] = None, root
+        reached = [root]
+        for u in reached:  # grows while it is walked
+            for w in adjacency[u]:
+                if w not in component:
+                    parent[w], component[w] = u, root
+                    reached.append(w)
+        order.extend(reached)
+    rank = {v: i for i, v in enumerate(order)}
+
     room_egress: dict = {v: {} for v in tree.covers}
+    shared: dict = {}  # egress sets repeat across rooms: keep one object per set
     for room in sorted(room_members):
-        members = frozenset(room_members[room])
-        off_tree = members - tree.covers
-        if off_tree:
-            raise MemberOffTree(
-                "room %d members %s are not covered by the tree" % (room, sorted(off_tree))
-            )
-        if not members:
-            continue
-        sub_adj = _prune_to_members(adjacency, members)
-        for v, neigh in sub_adj.items():
-            room_egress[v][room] = frozenset(neigh)
-    tables = {}
-    for v in sorted(tree.covers):
-        tables[v] = RoutingTable(
-            epoch=epoch,
-            tree_neighbors=frozenset(adjacency[v]),
-            room_egress=room_egress[v],
-        )
-    return tables
-
-
-def _prune_to_members(adjacency: Mapping, members: frozenset) -> dict:
-    """Minimal subtree of a forest spanning ``members``.
-
-    Iteratively strips leaves that are not members; what remains is the
-    union of pairwise tree paths between members (per component). Returns
-    the subtree's adjacency, including isolated member vertices.
-    """
-    sub = {v: set(n) for v, n in adjacency.items()}
-    degree_one = deque(v for v, n in sub.items() if len(n) <= 1 and v not in members)
-    removed = set()
-    while degree_one:
-        v = degree_one.popleft()
-        if v in removed or v in members or len(sub[v]) > 1:
-            continue
-        removed.add(v)
-        for u in sub.pop(v):
-            sub[u].discard(v)
-            if len(sub[u]) <= 1 and u not in members:
-                degree_one.append(u)
-    # Non-member vertices stranded with no edges (isolated components) go too.
-    for v in [v for v, n in sub.items() if not n and v not in members]:
-        del sub[v]
-    return sub
+        kept = set(room_members[room])
+        if not kept <= tree.covers:
+            raise MemberOffTree("room %d members %s are not covered by the tree"
+                                % (room, sorted(kept - tree.covers)))
+        frontier = [-rank[v] for v in kept]
+        heapq.heapify(frontier)
+        while frontier:
+            v = order[-heapq.heappop(frontier)]
+            if not frontier or component[order[-frontier[0]]] != component[v]:
+                continue  # v is the top of its component's subtree
+            if parent[v] not in kept:  # else two member paths merge at the parent
+                kept.add(parent[v])
+                heapq.heappush(frontier, -rank[parent[v]])
+        # Per component the kept vertices form a subtree, so its edges are
+        # exactly the tree edges between kept vertices.
+        for v in kept:
+            egress = adjacency[v] & kept
+            room_egress[v][room] = shared.setdefault(egress, egress)
+    return {
+        v: RoutingTable(epoch=epoch, tree_neighbors=adjacency[v], room_egress=room_egress[v])
+        for v in sorted(tree.covers)
+    }

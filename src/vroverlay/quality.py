@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import OutOfRange
 from .model import LinkKey
@@ -66,27 +65,29 @@ def update_ewma(state: QualityFactor, q_sample: float, at: float = 0.0) -> Quali
         raise OutOfRange("q_sample must be in [0,1], got %r" % q_sample)
     if not 0.0 < state.alpha <= 1.0:
         raise OutOfRange("alpha must be in (0,1], got %r" % state.alpha)
-    if state.sample_count == 0:
-        q = q_sample
-    else:
-        q = _blend(state.alpha, q_sample, state.q)
-    return replace(state, q=q, updated_at=at, sample_count=state.sample_count + 1)
+    q = _blend(state.alpha, q_sample, state.q) if state.sample_count else q_sample
+    return QualityFactor(state.link, q, state.alpha, at, state.sample_count + 1)
 
 
 def _blend(alpha: float, sample: float, q: float) -> float:
     """alpha*sample + (1-alpha)*q with one conservative rounding.
 
-    The blend is evaluated exactly in rationals and rounded once; if that
-    rounding lands farther from the sample than the exact value, the result
-    is nudged one ulp back toward the sample. The stored float is therefore
-    never farther from the sample than the ideal update, so the geometric
+    Each double is an integer over a power of two, so the blend is exactly
+    one integer ratio, rounded once by int true division; if that lands
+    farther from the sample than the exact value (compared in integers),
+    it is nudged one ulp back toward the sample. The stored float is never
+    farther from the sample than the ideal update, so the geometric
     convergence bound |q_n - c| <= (1-alpha)^n holds exactly in doubles.
     """
-    frac_alpha = Fraction(alpha)
-    frac_sample = Fraction(sample)
-    exact = frac_alpha * frac_sample + (1 - frac_alpha) * Fraction(q)
-    rounded = float(exact)
-    if abs(Fraction(rounded) - frac_sample) > abs(exact - frac_sample):
+    a_num, a_den = alpha.as_integer_ratio()
+    s_num, s_den = sample.as_integer_ratio()
+    q_num, q_den = q.as_integer_ratio()
+    common = max(s_den, q_den)
+    s_num, q_num = s_num * (common // s_den), q_num * (common // q_den)
+    num, den = a_num * s_num + (a_den - a_num) * q_num, a_den * common
+    rounded = num / den
+    r_num, r_den = rounded.as_integer_ratio()  # r_den divides den: rounding only coarsens
+    if abs(r_num * (den // r_den) - a_den * s_num) > abs(num - a_den * s_num):
         rounded = math.nextafter(rounded, sample)
     return rounded
 

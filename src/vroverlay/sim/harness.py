@@ -656,7 +656,7 @@ class OverlaySim:
             routing_epochs=list(self.routing_epochs),
             notifications=list(self.notification_sink.events),
             violations=list(self.violations),
-            trace=list(self.trace),
+            trace=self.trace,
         )
 
     def _check_expectations(self) -> None:

@@ -1,5 +1,8 @@
 """Monitoring: ring bounds, budget eviction, subscriptions, collection."""
+import heapq
+import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,98 @@ def test_budget_holds_under_many_series():
         )
         assert store.footprint_bytes() <= budget
     assert store.total_samples() <= 50
+
+
+class HeapStore:
+    """Reference store: evicts the globally oldest sample via a heap of series heads."""
+
+    def __init__(self, series_capacity, budget_bytes):
+        self.series_capacity = series_capacity
+        self.max_total = max(1, budget_bytes // SAMPLE_COST_BYTES)
+        self.regressions = 0
+        self.evictions = 0
+        self._series = {}
+        self._arrival = itertools.count()
+        self._heads = []
+        self._total = 0
+
+    def record(self, sample):
+        key = (sample.reflector, sample.name)
+        ring = self._series.setdefault(key, deque())
+        if ring and sample.at < ring[-1][1].at:
+            self.regressions += 1
+            return RecordResult.TIMESTAMP_REGRESSION
+        arrival = next(self._arrival)
+        if not ring:
+            heapq.heappush(self._heads, (arrival, key))
+        ring.append((arrival, sample))
+        self._total += 1
+        if len(ring) > self.series_capacity:
+            ring.popleft()
+            self._total -= 1
+            self.evictions += 1
+            heapq.heappush(self._heads, (ring[0][0], key))
+        while self._total > self.max_total:
+            arrival, key = heapq.heappop(self._heads)
+            ring = self._series.get(key)
+            if not ring or ring[0][0] != arrival:
+                continue
+            ring.popleft()
+            self._total -= 1
+            self.evictions += 1
+            if ring:
+                heapq.heappush(self._heads, (ring[0][0], key))
+            else:
+                del self._series[key]
+        return RecordResult.STORED
+
+    def query_range(self, reflector, name, t_from, t_to):
+        ring = self._series.get((reflector, name))
+        return [s for _, s in ring if t_from <= s.at <= t_to] if ring else []
+
+    def heads(self):
+        return [ring[-1][1] for ring in self._series.values() if ring]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(1, 4),
+    budget_samples=st.integers(1, 8),
+    ops=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-2, 3)), max_size=120
+    ),
+)
+def test_fifo_store_matches_heap_reference(capacity, budget_samples, ops):
+    # Small budgets empty series that later come back; negative steps
+    # produce timestamp regressions.
+    budget = SAMPLE_COST_BYTES * budget_samples
+    store = MetricStore(series_capacity=capacity, budget_bytes=budget)
+    reference = HeapStore(capacity, budget)
+    clocks = [0.0] * 4
+    for i, (series, step) in enumerate(ops):
+        clocks[series] += step
+        s = sample(name="m.%d" % series, reflector=series % 2 + 1, value=float(i),
+                   at=clocks[series])
+        assert store.record(s) == reference.record(s)
+        for k in range(4):
+            args = (k % 2 + 1, "m.%d" % k, float("-inf"), float("inf"))
+            assert store.query_range(*args) == reference.query_range(*args)
+        assert store.heads() == reference.heads()
+        assert store.evictions == reference.evictions
+        assert store.regressions == reference.regressions
+        assert store.total_samples() == reference._total
+
+
+def test_bookkeeping_bounded_when_rings_do_the_evicting():
+    # Three series of capacity 4 never reach the budget, so every eviction
+    # is a ring eviction; the eviction order must not grow with them.
+    store = MetricStore(series_capacity=4)
+    for i in range(100_000):
+        store.record(sample(name="m.%d" % (i % 3), at=float(i)))
+        entries = len(store._order) + len(store._stale)
+        assert entries <= 2 * store.total_samples() + len(store.series_lengths())
+    assert store.total_samples() == 12
+    assert store.evictions == 100_000 - 12
 
 
 # --- patterns and subscriptions ---

@@ -1,8 +1,11 @@
 """Optimizer: MST and max-flow against brute-force oracles, gating, room routes."""
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vroverlay.errors import MemberOffTree, UnknownVertex
 from vroverlay.model import LinkStats
@@ -19,6 +22,7 @@ from vroverlay.optimizer import (
     should_reroute,
 )
 from vroverlay.quality import QualityFactor
+from vroverlay.reflector import RoutingTable
 from vroverlay.registry import LinkRecord, RegistryEntry, TopologySnapshot
 
 
@@ -433,3 +437,80 @@ def test_room_routes_egress_subset_of_tree_neighbors():
         for table in tables.values():
             for egress in table.room_egress.values():
                 assert egress <= table.tree_neighbors
+
+
+def prune_to_members(adjacency, members):
+    """Minimal subtree of a forest spanning ``members``, by leaf stripping.
+
+    Iteratively strips leaves that are not members; what remains is the
+    union of pairwise tree paths between members (per component). Returns
+    the subtree's adjacency, including isolated member vertices.
+    """
+    sub = {v: set(n) for v, n in adjacency.items()}
+    degree_one = deque(v for v, n in sub.items() if len(n) <= 1 and v not in members)
+    removed = set()
+    while degree_one:
+        v = degree_one.popleft()
+        if v in removed or v in members or len(sub[v]) > 1:
+            continue
+        removed.add(v)
+        for u in sub.pop(v):
+            sub[u].discard(v)
+            if len(sub[u]) <= 1 and u not in members:
+                degree_one.append(u)
+    # Non-member vertices stranded with no edges (isolated components) go too.
+    for v in [v for v, n in sub.items() if not n and v not in members]:
+        del sub[v]
+    return sub
+
+
+def oracle_room_routes(tree_result, room_members, epoch):
+    """Routing tables with every room pruned from a full copy of the forest."""
+    adjacency = tree_result.adjacency()
+    room_egress = {v: {} for v in tree_result.covers}
+    for room in sorted(room_members):
+        for v, neigh in prune_to_members(adjacency, frozenset(room_members[room])).items():
+            room_egress[v][room] = frozenset(neigh)
+    return {
+        v: RoutingTable(epoch=epoch, tree_neighbors=frozenset(adjacency[v]),
+                        room_egress=room_egress[v])
+        for v in sorted(tree_result.covers)
+    }
+
+
+@st.composite
+def forests_with_rooms(draw):
+    """A forest on sparse ids (several components, isolated vertices) plus rooms."""
+    ids = draw(st.lists(st.integers(1, 500), min_size=1, max_size=40, unique=True))
+    edges = set()
+    for i, v in enumerate(ids[1:], start=1):
+        # Attach to an earlier vertex, or start a new component.
+        j = draw(st.integers(-1, i - 1))
+        if j >= 0:
+            edges.add(tuple(sorted((v, ids[j]))))
+    forest = TreeResult(
+        edges=frozenset(edges),
+        total_weight=0.0,
+        covers=frozenset(ids),
+        components=count_components(ids, edges),
+    )
+    room_ids = draw(st.lists(st.integers(0, 10**6), max_size=8, unique=True))
+    rooms = {room: draw(st.sets(st.sampled_from(ids), max_size=len(ids))) for room in room_ids}
+    return forest, rooms
+
+
+# Components {1,2,3} and {4,5}, isolated 6 and 7; rooms empty, single,
+# spanning components, and an isolated member alone.
+EDGE_CASE = (
+    TreeResult(edges=frozenset({(1, 2), (2, 3), (4, 5)}), total_weight=0.0,
+               covers=frozenset(range(1, 8)), components=4),
+    {1: set(), 2: {3}, 3: {1, 3, 5, 6}, 4: {7}, 5: {2, 4, 5}},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests_with_rooms())
+@example(EDGE_CASE)
+def test_room_routes_match_leaf_stripping_oracle(case):
+    forest, rooms = case
+    assert compute_room_routes(forest, rooms, epoch=4) == oracle_room_routes(forest, rooms, 4)

@@ -1,5 +1,7 @@
 """Quality filters: combining formula, EWMA behavior, classification."""
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from vroverlay.quality import (
     classify_link,
     raw_quality,
     update_ewma,
+    _blend,
 )
 
 LINK = (1, 2)
@@ -127,3 +130,31 @@ def test_classification_boundaries():
     # Exactly at the threshold stays usable: Down needs strict inequality.
     assert classify_link(QualityFactor(link=LINK, q=0.05, sample_count=1), q_min=0.05) is LinkState.USABLE
     assert classify_link(QualityFactor(link=LINK, q=0.0499, sample_count=1), q_min=0.05) is LinkState.DOWN
+
+
+def fraction_blend(alpha, sample, q):
+    """The EWMA blend evaluated in rationals: the reference for ``_blend``."""
+    frac_alpha = Fraction(alpha)
+    frac_sample = Fraction(sample)
+    exact = frac_alpha * frac_sample + (1 - frac_alpha) * Fraction(q)
+    rounded = float(exact)
+    if abs(Fraction(rounded) - frac_sample) > abs(exact - frac_sample):
+        rounded = math.nextafter(rounded, sample)
+    return rounded
+
+
+unit = st.floats(0.0, 1.0)
+EDGES = (0.0, 1.0, 5e-324, 1 - 2**-53)
+
+
+@settings(max_examples=2000)
+@given(alpha=unit.filter(lambda a: a > 0.0), sample=unit, q=unit)
+def test_blend_matches_rational_reference(alpha, sample, q):
+    assert _blend(alpha, sample, q).hex() == fraction_blend(alpha, sample, q).hex()
+
+
+def test_blend_matches_rational_reference_on_edge_values():
+    for alpha in EDGES[1:] + (0.25, 0.1):
+        for sample in EDGES + (0.3,):
+            for q in EDGES + (0.7,):
+                assert _blend(alpha, sample, q).hex() == fraction_blend(alpha, sample, q).hex()
