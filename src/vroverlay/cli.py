@@ -181,7 +181,7 @@ def _is_bind_error(exc: OSError, listen: str) -> bool:
 
 
 def _sim_run(args) -> int:
-    # Imported here, so the daemons load neither the simulator nor jsonschema.
+    # Imported here, so that the daemon processes never load the simulator.
     from .sim import OverlaySim, load_scenario_file
 
     scenario = load_scenario_file(args.scenario, seed_override=args.seed)

@@ -68,10 +68,6 @@ class DuplicateId(OverlayError):
     pass
 
 
-class ProbeFailed(OverlayError):
-    pass
-
-
 class UnknownReflector(OverlayError):
     pass
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import DuplicateId, EpochConflict, ProbeFailed, UnknownReflector
+from .errors import DuplicateId, EpochConflict, UnknownReflector
 from .model import LinkKey, LinkStats, ReflectorId, RoomId, link_key
 from .quality import QualityFactor
 from .reflector import RoutingTable
 
 DEFAULT_HEARTBEAT_INTERVAL_MS = 10_000.0
 DEFAULT_LIVENESS_INTERVALS = 3
-DEFAULT_PUBLISH_INTERVAL_MS = 10_000.0
 
 
 @dataclass
@@ -87,11 +86,9 @@ class Registry:
         self,
         heartbeat_interval_ms: float = DEFAULT_HEARTBEAT_INTERVAL_MS,
         liveness_intervals: int = DEFAULT_LIVENESS_INTERVALS,
-        prober: Optional[Callable[[str], bool]] = None,
     ):
         self.heartbeat_interval_ms = heartbeat_interval_ms
         self.liveness_timeout_ms = heartbeat_interval_ms * liveness_intervals
-        self._prober = prober
         self._entries: dict = {}          # ReflectorId -> RegistryEntry
         self._rooms_by_reflector: dict = {}  # ReflectorId -> set of RoomId
         self._links: dict = {}            # LinkKey -> LinkRecord
@@ -106,11 +103,9 @@ class Registry:
     # --- membership of the overlay itself ---
 
     def register(self, entry: RegistryEntry) -> int:
-        """Add a reflector after one reachability probe; returns the current epoch."""
+        """Add a reflector; returns the current epoch."""
         if entry.reflector in self._entries:
             raise DuplicateId("reflector %d already registered" % entry.reflector)
-        if self._prober is not None and not self._prober(entry.control_address):
-            raise ProbeFailed("control address %r did not answer" % entry.control_address)
         if entry.last_heartbeat < entry.registered_at:
             entry = replace(entry, last_heartbeat=entry.registered_at)
         self._entries[entry.reflector] = entry

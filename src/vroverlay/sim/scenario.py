@@ -1,21 +1,20 @@
-"""Scenario documents: schema validation and typed loading.
+"""Scenario documents: validation and typed loading.
 
 A scenario is a JSON document describing the starting topology (reflectors,
 links, clients, rooms), an optional gateway pair for flow diagnostics,
 config overrides, optional end-of-run expectations, and a time-sorted event
-script. Validation happens in two passes: the shipped JSON schema first,
-then semantic checks (id references, event ordering, per-action fields)
-with field-path diagnostics. Identical (scenario, seed) pairs always replay
-to identical traces.
+script. It is validated in one pass: each object is checked against the
+rules table of its kind, then come the checks that need the whole document
+(references, duplicate ids, event order). Each failure is a SchemaError
+naming the field by its path, such as `rooms[0].members[1]`. Identical
+(scenario, seed) pairs always replay to identical traces.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Optional
-
-import jsonschema
 
 from ..errors import SchemaError
 from ..model import PayloadType, link_key
@@ -118,9 +117,92 @@ class Scenario:
         return {r.id for r in self.reflectors}
 
 
-def _schema() -> dict:
-    text = resources.files("vroverlay.sim").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
+def _rule(expected: str, test, each=None):
+    """A field rule: the value must pass `test`, and each of its entries `each`."""
+    def check(value, path: str) -> None:
+        if not test(value):
+            raise SchemaError("field %s: expected %s, got %r" % (path, expected, value))
+        for i, entry in enumerate(value if each else ()):
+            each(entry, "%s[%d]" % (path, i))
+    return check
+
+
+def _list(each=None, expected="a list", test=lambda v: True):
+    """A field rule for a list (that passes `test`) whose entries pass `each`."""
+    return _rule(expected, lambda v: type(v) is list and test(v), each)
+
+
+def _object(rules: dict, *required: str):
+    return lambda value, path: _check(value, path, rules, required)
+
+
+def _check(spec, where: str, rules: dict, required=()) -> None:
+    """Reject a spec that is not an object or has an unknown, missing or bad field."""
+    if type(spec) is not dict:
+        raise SchemaError("field %s: expected an object, got %r" % (where or "<root>", spec))
+    at = where + ".%s" if where else "%s"
+    for name in required:
+        if name not in spec:
+            raise SchemaError("field %s: required field missing" % (at % name))
+    for name, value in spec.items():
+        if name in rules:
+            rules[name](value, at % name)
+    for name in spec:  # after the known fields, so that an unknown action is named first
+        if name not in rules:
+            raise SchemaError("field %s: unexpected field" % (at % name))
+
+
+# Types are exact: a bool is not a number, 1.0 is not an integer, numbers are finite as in JSON.
+_NUMBER = (int, float)
+_ID = _rule("an integer in 1..4294967295", lambda v: type(v) is int and 1 <= v <= 0xFFFFFFFF)
+_REF = _rule("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_COUNT = _rule("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_AT_LEAST_0 = _rule("a finite number >= 0", lambda v: type(v) in _NUMBER and 0 <= v < math.inf)
+_ABOVE_0 = _rule("a finite number > 0", lambda v: type(v) in _NUMBER and 0 < v < math.inf)
+_BOOL = _rule("true or false", lambda v: type(v) is bool)
+
+_LINK = {"a": _REF, "b": _REF, "latency_ms": _AT_LEAST_0, "bandwidth_kbps": _ABOVE_0,
+         "loss": _rule("a number in 0..1", lambda v: type(v) in _NUMBER and 0 <= v <= 1)}
+_ACTIONS = {  # action -> (rules besides _EVENT's, required fields besides t and action)
+    "kill_reflector": ({"reflector": _REF}, ("reflector",)),
+    "restart_outcomes": ({"reflector": _REF, "outcomes": _list(_BOOL)}, ("reflector", "outcomes")),
+    "set_link": ({**_LINK, "up": _BOOL}, ("a", "b")),
+    "inject": ({"room": _REF, "src": _REF, "count": _REF, "interval_ms": _AT_LEAST_0,
+                "payload_bytes": _rule("an integer in 0..65535",
+                                       lambda v: type(v) is int and 0 <= v <= 65535),
+                "payload_type": _rule("one of " + ", ".join(_PAYLOAD_TYPES),
+                                      lambda v: type(v) is str and v in _PAYLOAD_TYPES)},
+               ("room", "src")),
+    "partition": ({"isolated": _list(_REF)}, ("isolated",)),
+}
+_EVENT = {"t": _AT_LEAST_0, "action": _rule("one of " + ", ".join(_ACTIONS),
+                                            lambda v: type(v) is str and v in _ACTIONS)}
+_SET_LINK_PARAMS = {"latency_ms": "latency_ms", "loss": "loss_probability",
+                    "bandwidth_kbps": "bandwidth_kbps", "up": "up"}
+
+
+def _event(spec, path: str) -> None:
+    """Check an event by the rules of its action, or only `t` and `action` if that is unknown."""
+    action = spec.get("action") if type(spec) is dict else None
+    rules, required = _ACTIONS[action] if type(action) is str and action in _ACTIONS else ({}, ())
+    _check(spec, path, {**_EVENT, **rules}, ("t", "action") + required)
+
+
+_TOP = {
+    "name": _rule("a non-empty string", lambda v: type(v) is str and v != ""),
+    "seed": _rule("an integer", lambda v: type(v) is int),
+    "duration_ms": _ABOVE_0,
+    "reflectors": _list(_object({"id": _ID, "region": _rule("a string", lambda v: type(v) is str)},
+                                "id"), "a non-empty list", bool),
+    "links": _list(_object(_LINK, "a", "b")),
+    "clients": _list(_object({"id": _ID, "reflector": _REF}, "id", "reflector")),
+    "rooms": _list(_object({"id": _ID, "members": _list(_REF)}, "id", "members")),
+    "gateway_pair": _list(_REF, "a list of 2", lambda v: len(v) == 2),
+    "config": _rule("an object", lambda v: type(v) is dict),
+    "expect": _object({"exactly_once": _BOOL, "notifications": _COUNT,
+                       "min_routing_epochs": _COUNT, "max_routing_epochs": _COUNT}),
+    "events": _list(_event),
+}
 
 
 def load_scenario_file(path: str, seed_override: Optional[int] = None) -> Scenario:
@@ -139,13 +221,9 @@ def load_scenario_file(path: str, seed_override: Optional[int] = None) -> Scenar
 
 def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     """Validate a scenario document and build the typed Scenario."""
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError("field %s: %s" % (path, exc.message)) from None
+    _check(doc, "", _TOP, ("name", "duration_ms", "reflectors"))
 
-    reflectors = [ReflectorSpec(r["id"], r.get("region", "")) for r in doc["reflectors"]]
+    reflectors = [ReflectorSpec(**spec) for spec in doc["reflectors"]]
     rids = {r.id for r in reflectors}
     if len(rids) != len(reflectors):
         raise SchemaError("field reflectors: duplicate reflector ids")
@@ -163,15 +241,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         if key in seen_links:
             raise SchemaError("field %s: duplicate link %s" % (where, key))
         seen_links.add(key)
-        links.append(
-            LinkSpec(
-                a=key[0],
-                b=key[1],
-                latency_ms=spec.get("latency_ms", 10.0),
-                loss=spec.get("loss", 0.0),
-                bandwidth_kbps=spec.get("bandwidth_kbps", 10_000.0),
-            )
-        )
+        links.append(LinkSpec(**dict(spec, a=key[0], b=key[1])))
 
     clients = []
     cids = set()
@@ -182,19 +252,17 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         if spec["reflector"] not in rids:
             raise SchemaError("field %s.reflector: unknown reflector %d" % (where, spec["reflector"]))
         cids.add(spec["id"])
-        clients.append(ClientSpec(spec["id"], spec["reflector"]))
+        clients.append(ClientSpec(**spec))
 
     rooms = []
-    room_ids = set()
     room_members: dict = {}
     for i, spec in enumerate(doc.get("rooms", ())):
         where = "rooms[%d]" % i
-        if spec["id"] in room_ids:
+        if spec["id"] in room_members:
             raise SchemaError("field %s.id: duplicate room %d" % (where, spec["id"]))
-        room_ids.add(spec["id"])
-        for c in spec["members"]:
+        for j, c in enumerate(spec["members"]):
             if c not in cids:
-                raise SchemaError("field %s.members: unknown client %d" % (where, c))
+                raise SchemaError("field %s.members[%d]: unknown client %d" % (where, j, c))
         if len(set(spec["members"])) != len(spec["members"]):
             raise SchemaError("field %s.members: duplicate client" % where)
         rooms.append(RoomSpec(spec["id"], tuple(spec["members"])))
@@ -205,7 +273,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         g = doc["gateway_pair"]
         if g[0] == g[1] or g[0] not in rids or g[1] not in rids:
             raise SchemaError("field gateway_pair: must name two distinct reflectors")
-        gateway = (g[0], g[1])
+        gateway = tuple(g)
 
     events = []
     last_t = -1.0
@@ -215,7 +283,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         if t < last_t:
             raise SchemaError("field %s.t: events must be sorted by time" % where)
         last_t = t
-        events.append(_parse_event(spec, where, rids, cids, room_members, seen_links))
+        events.append(_parse_event(spec, where, rids, room_members, seen_links))
 
     return Scenario(
         name=doc["name"],
@@ -232,95 +300,38 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     )
 
 
-def _require(spec: dict, name: str, where: str):
-    if name not in spec:
-        raise SchemaError("field %s.%s: required for action %r" % (where, name, spec["action"]))
-    return spec[name]
-
-
-def _parse_event(spec, where, rids, cids, room_members, seen_links):
+def _parse_event(spec, where, rids, room_members, seen_links):
+    """Build one event whose fields `_check` has passed; check its references."""
     t = float(spec["t"])
     action = spec["action"]
-    known = {"t", "action"}
-    if action == "kill_reflector":
-        rid = _require(spec, "reflector", where)
+    if action in ("kill_reflector", "restart_outcomes"):
+        rid = spec["reflector"]
         if rid not in rids:
             raise SchemaError("field %s.reflector: unknown reflector %d" % (where, rid))
-        known.add("reflector")
-        _reject_extras(spec, known, where)
-        return KillReflector(t, rid)
-    if action == "restart_outcomes":
-        rid = _require(spec, "reflector", where)
-        outcomes = _require(spec, "outcomes", where)
-        if rid not in rids:
-            raise SchemaError("field %s.reflector: unknown reflector %d" % (where, rid))
-        if not isinstance(outcomes, list) or not all(isinstance(o, bool) for o in outcomes):
-            raise SchemaError("field %s.outcomes: must be a list of booleans" % where)
-        known.update(("reflector", "outcomes"))
-        _reject_extras(spec, known, where)
-        return RestartOutcomes(t, rid, tuple(outcomes))
+        if action == "kill_reflector":
+            return KillReflector(t, rid)
+        return RestartOutcomes(t, rid, tuple(spec["outcomes"]))
     if action == "set_link":
-        a = _require(spec, "a", where)
-        b = _require(spec, "b", where)
+        a, b = spec["a"], spec["b"]
         if a == b or link_key(a, b) not in seen_links:
             raise SchemaError("field %s: no such link (%s, %s)" % (where, a, b))
-        params = []
-        for name, attr in (
-            ("latency_ms", "latency_ms"),
-            ("loss", "loss_probability"),
-            ("bandwidth_kbps", "bandwidth_kbps"),
-            ("up", "up"),
-        ):
-            if name in spec:
-                params.append((attr, spec[name]))
+        params = tuple((attr, spec[key]) for key, attr in _SET_LINK_PARAMS.items() if key in spec)
         if not params:
             raise SchemaError("field %s: set_link changes nothing" % where)
-        known.update(("a", "b", "latency_ms", "loss", "bandwidth_kbps", "up"))
-        _reject_extras(spec, known, where)
-        return SetLink(t, *link_key(a, b), params=tuple(params))
+        return SetLink(t, *link_key(a, b), params=params)
     if action == "inject":
-        room = _require(spec, "room", where)
-        src = _require(spec, "src", where)
+        room, src = spec["room"], spec["src"]
         if room not in room_members:
             raise SchemaError("field %s.room: unknown room %d" % (where, room))
         if src not in room_members[room]:
             raise SchemaError("field %s.src: client %d is not in room %d" % (where, src, room))
-        count = spec.get("count", 1)
-        if not isinstance(count, int) or count < 1:
-            raise SchemaError("field %s.count: must be a positive integer" % where)
-        payload_bytes = spec.get("payload_bytes", 76)
-        if not isinstance(payload_bytes, int) or not 0 <= payload_bytes <= 65535:
-            raise SchemaError("field %s.payload_bytes: must be in 0..65535" % where)
-        ptype_name = spec.get("payload_type", "opaque")
-        if ptype_name not in _PAYLOAD_TYPES:
-            raise SchemaError(
-                "field %s.payload_type: expected one of %s" % (where, sorted(_PAYLOAD_TYPES))
-            )
-        known.update(("room", "src", "count", "interval_ms", "payload_bytes", "payload_type"))
-        _reject_extras(spec, known, where)
-        return InjectTraffic(
-            t,
-            room=room,
-            src=src,
-            count=count,
-            interval_ms=float(spec.get("interval_ms", 100.0)),
-            payload_bytes=payload_bytes,
-            payload_type=_PAYLOAD_TYPES[ptype_name],
-        )
-    if action == "partition":
-        isolated = _require(spec, "isolated", where)
-        if not isinstance(isolated, list):
-            raise SchemaError("field %s.isolated: must be a list of reflector ids" % where)
-        for rid in isolated:
-            if rid not in rids:
-                raise SchemaError("field %s.isolated: unknown reflector %d" % (where, rid))
-        known.add("isolated")
-        _reject_extras(spec, known, where)
-        return Partition(t, frozenset(isolated))
-    raise SchemaError("field %s.action: unknown action %r" % (where, action))
-
-
-def _reject_extras(spec, known, where):
-    extras = sorted(set(spec) - known)
-    if extras:
-        raise SchemaError("field %s.%s: unexpected field" % (where, extras[0]))
+        fields = {name: spec[name] for name in ("count", "payload_bytes") if name in spec}
+        if "interval_ms" in spec:
+            fields["interval_ms"] = float(spec["interval_ms"])
+        if "payload_type" in spec:
+            fields["payload_type"] = _PAYLOAD_TYPES[spec["payload_type"]]
+        return InjectTraffic(t, room, src, **fields)  # absent fields keep the class defaults
+    for i, rid in enumerate(spec["isolated"]):  # partition
+        if rid not in rids:
+            raise SchemaError("field %s.isolated[%d]: unknown reflector %d" % (where, i, rid))
+    return Partition(t, frozenset(spec["isolated"]))

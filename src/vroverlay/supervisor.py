@@ -27,8 +27,6 @@ from .errors import NotFailed
 from .model import ReflectorId
 
 DEFAULT_K_MISS = 2
-DEFAULT_PROBE_INTERVAL_MS = 10_000.0
-DEFAULT_PROBE_DEADLINE_MS = 2_000.0
 MAX_RESTART_ATTEMPTS = 2
 
 

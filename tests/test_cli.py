@@ -70,6 +70,17 @@ def test_sim_run_bad_schema_exit_two(tmp_path, capsys):
     assert "reflectors" in err
 
 
+def test_sim_run_bad_event_value_exit_two(tmp_path, capsys):
+    doc = json.loads(open(os.path.join(SCENARIOS, "line3.json")).read())
+    doc["events"].insert(0, {"t": 500, "action": "set_link", "a": 1, "b": 2, "latency_ms": -5})
+    path = tmp_path / "negative-latency.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sim", "run", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "events[0].latency_ms" in err
+
+
 def test_sim_run_invariant_violation_exit_one(tmp_path, capsys):
     # Expecting two notifications when the scenario produces none fails the run.
     doc = json.loads(open(os.path.join(SCENARIOS, "line3.json")).read())

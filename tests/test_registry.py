@@ -1,7 +1,7 @@
 """Registry: leasing, advertisement, snapshots, routing distribution."""
 import pytest
 
-from vroverlay.errors import DuplicateId, EpochConflict, ProbeFailed, UnknownReflector
+from vroverlay.errors import DuplicateId, EpochConflict, UnknownReflector
 from vroverlay.model import LinkStats
 from vroverlay.quality import QualityFactor
 from vroverlay.reflector import RoutingTable
@@ -37,12 +37,6 @@ def test_register_duplicate_rejected_while_live():
     reg = Registry()
     reg.register(entry(1))
     with pytest.raises(DuplicateId):
-        reg.register(entry(1))
-
-
-def test_register_probe_failure():
-    reg = Registry(prober=lambda addr: False)
-    with pytest.raises(ProbeFailed):
         reg.register(entry(1))
 
 

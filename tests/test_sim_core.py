@@ -1,5 +1,8 @@
 """Simulator core: event ordering, link arithmetic, loss statistics, schema."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -255,3 +258,77 @@ def test_gateway_pair_validation():
         load_scenario(minimal_doc(gateway_pair=[1, 1]))
     with pytest.raises(SchemaError):
         load_scenario(minimal_doc(gateway_pair=[1, 9]))
+
+
+def two_reflector_doc(*events, **extra):
+    doc = minimal_doc(
+        reflectors=[{"id": 1}, {"id": 2}],
+        links=[{"a": 1, "b": 2}],
+        clients=[{"id": 1, "reflector": 1}, {"id": 2, "reflector": 2}],
+        rooms=[{"id": 1, "members": [1, 2]}],
+        events=list(events),
+    )
+    doc.update(extra)
+    return doc
+
+
+def set_link(**fields):
+    return {"t": 0, "action": "set_link", "a": 1, "b": 2, **fields}
+
+
+def inject(**fields):
+    return {"t": 0, "action": "inject", "room": 1, "src": 1, **fields}
+
+
+# Fields of the wrong type or range: each must be rejected when the file loads,
+# naming the field, not misbehave or crash during the run.
+BAD_VALUES = [
+    ("events[0].latency_ms", two_reflector_doc(set_link(latency_ms=-5))),
+    ("events[0].loss", two_reflector_doc(set_link(loss="abc"))),
+    ("events[0].up", two_reflector_doc(set_link(up="no"))),
+    ("events[0].interval_ms", two_reflector_doc(inject(interval_ms="abc"))),
+    ("events[0].interval_ms", two_reflector_doc(inject(interval_ms=-100))),
+    ("events[0].count", two_reflector_doc(inject(count=True))),
+    ("events[0].payload_bytes", two_reflector_doc(inject(payload_bytes=True))),
+    ("events[0].isolated[0]", two_reflector_doc({"t": 0, "action": "partition",
+                                                 "isolated": [True]})),
+    ("events[0].reflector", two_reflector_doc({"t": 0, "action": "kill_reflector",
+                                               "reflector": True})),
+    ("events[0].room", two_reflector_doc(inject(room=True))),
+    ("events[0].src", two_reflector_doc(inject(src=1.0))),
+    ("events[0].a", two_reflector_doc(set_link(a=1.0, loss=0.5))),
+    ("reflectors[0].id", two_reflector_doc(reflectors=[{"id": 1.0}, {"id": 2}])),
+    ("clients[1].reflector", two_reflector_doc(clients=[{"id": 1, "reflector": 1},
+                                                        {"id": 2, "reflector": 2.0}])),
+    ("rooms[0].members[1]", two_reflector_doc(rooms=[{"id": 1, "members": [1, 2.0]}])),
+    ("links[0].latency_ms", two_reflector_doc(links=[{"a": 1, "b": 2,
+                                                      "latency_ms": float("nan")}])),
+    ("duration_ms", minimal_doc(duration_ms=float("inf"))),
+]
+
+
+@pytest.mark.parametrize("path, doc", BAD_VALUES, ids=[path for path, _ in BAD_VALUES])
+def test_bad_value_rejected_at_load_with_its_path(path, doc):
+    with pytest.raises(SchemaError) as err:
+        load_scenario(doc)
+    assert str(err.value).startswith("field %s: " % path)
+
+
+def test_loading_a_scenario_imports_no_third_party_module():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "from vroverlay.sim import load_scenario_file\n"
+        "load_scenario_file(sys.argv[1])\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+        "             - set(sys.stdlib_module_names) - {'__main__', 'vroverlay'}))\n"
+    )
+    # -S keeps site-packages hooks out, so every module left is one the import pulled in.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, os.path.join(root, "scenarios", "line3.json")],
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
