@@ -115,7 +115,7 @@ def _install_stop_handler(stop):
 
 def _run_registry(args) -> int:
     config = load_config(args.config)
-    daemon = RegistryDaemon(config, listen=args.listen, notification_stream=sys.stderr)
+    daemon = RegistryDaemon(config, listen=args.listen)
     # Handlers go in before the daemon is reachable, so a prompt SIGTERM
     # still shuts down cleanly instead of killing the process.
     _install_stop_handler(daemon.stop)

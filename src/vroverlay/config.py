@@ -49,10 +49,6 @@ class OverlayConfig:
     budget_bytes: int = 8 * 1024 * 1024
     subscriber_queue: int = 4096
 
-    @property
-    def liveness_timeout_ms(self) -> float:
-        return self.heartbeat_interval_ms * self.liveness_intervals
-
 
 _FIELDS = {f.name: f for f in fields(OverlayConfig)}
 

@@ -3,9 +3,9 @@
 One ControlPlane owns the registry, the supervisor, the per-link quality
 filters, the installed distribution tree and the last published routing
 tables. Callers feed it link measurements and call ``cycle`` on the
-optimizer period; how tables reach reflectors (the transport) and where
-notifications go (the sink) are injected, so the same loop runs inside the
-deterministic simulator and against real sockets.
+optimizer period; how tables reach reflectors (the transport) is injected,
+so the same loop runs inside the deterministic simulator and against real
+sockets.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .optimizer import (
 from .quality import QualityFactor, raw_quality, update_ewma
 from .reflector import RoutingTable
 from .registry import DeliveryReport, FlowSummary, Registry
-from .supervisor import NotificationSink, Supervisor
+from .supervisor import Supervisor
 
 
 class ControlPlane:
@@ -36,7 +36,6 @@ class ControlPlane:
         self,
         config: OverlayConfig,
         transport: Callable[[ReflectorId, RoutingTable], None],
-        sink: NotificationSink,
     ):
         self.config = config
         self.transport = transport  # raises when the reflector is unreachable
@@ -44,7 +43,7 @@ class ControlPlane:
             heartbeat_interval_ms=config.heartbeat_interval_ms,
             liveness_intervals=config.liveness_intervals,
         )
-        self.supervisor = Supervisor(config.k_miss, sink=sink, recipients=config.admins)
+        self.supervisor = Supervisor(config.k_miss, recipients=config.admins)
         self.filters: dict = {}  # link key -> QualityFactor
         self.tree: Optional[TreeResult] = None
         self.tables: dict = {}   # reflector id -> last published RoutingTable

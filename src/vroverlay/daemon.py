@@ -4,9 +4,10 @@ Both speak the newline-delimited JSON control protocol (protocol.md). The
 registry accepts reflector registrations, heartbeats, membership adverts,
 and uplinked metric events; it publishes topology snapshots and fans
 metric/notification events out to subscribers, and supervises reflectors
-by heartbeat age. Link quality, the optimizer cycle, routing install and
-gateway flow run in the shared ControlPlane (control.py), the same one the
-simulator drives, over links derived from uplinked peer metrics.
+by heartbeat age. Each notification also goes to stderr as one JSON line.
+Link quality, the optimizer cycle, routing install and gateway flow run in
+the shared ControlPlane (control.py), the same one the simulator drives,
+over links derived from uplinked peer metrics.
 
 A reflector daemon keeps one control connection to the registry, serves a
 media port where clients and peer reflectors connect (one JSON hello line,
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import logging
 import selectors
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -39,6 +42,7 @@ from typing import Callable, Optional
 from .config import OverlayConfig
 from .control import ControlPlane
 from .errors import (
+    BadPattern,
     ConfigError,
     OverlayError,
     RegistryUnreachable,
@@ -47,7 +51,7 @@ from .errors import (
     UnknownReflector,
 )
 from .model import LinkStats, link_key
-from .monitor import MetricCollector, MetricSample, MonitorService
+from .monitor import MetricCollector, MetricSample, MonitorService, compile_pattern
 from .protocol import (
     decode_message,
     encode_message,
@@ -68,7 +72,7 @@ from .protocol import (
 )
 from .reflector import DeliverLocal, LocalClient, Peer, ReflectorEngine
 from .registry import RegistryEntry
-from .supervisor import HealthState, JsonLinesSink, NotificationEvent, ProbeResult, RestartCommand
+from .supervisor import HealthState, NotificationEvent, ProbeResult, RestartCommand
 from .wire import HEADER_SIZE, read_media_packet
 
 log = logging.getLogger("vroverlay.daemon")
@@ -277,13 +281,11 @@ class RegistryDaemon:
 
     DEFAULT_LINK_CAPACITY_KBPS = 10_000.0
 
-    def __init__(self, config: OverlayConfig, listen: Optional[str] = None,
-                 notification_stream=None):
+    def __init__(self, config: OverlayConfig, listen: Optional[str] = None):
         self.config = config
         self.listen_address = parse_hostport(listen or config.registry_address)
         self.monitor = MonitorService(config.series_capacity, config.budget_bytes)
-        sink = JsonLinesSink(notification_stream) if notification_stream else _LogSink()
-        self.control = ControlPlane(config, self._push_table, sink)
+        self.control = ControlPlane(config, self._push_table)
         self.registry = self.control.registry
         self.supervisor = self.control.supervisor
         self._by_reflector: dict = {}     # reflector id -> control _Conn
@@ -309,7 +311,7 @@ class RegistryDaemon:
     # --- connection handling ---
 
     def _on_close(self, conn: _Conn) -> None:
-        self._subscribers.pop(conn, None)
+        self._unsubscribe(conn)
         self._by_reflector = {r: c for r, c in self._by_reflector.items() if c is not conn}
 
     def _on_lines(self, conn: _Conn) -> None:
@@ -365,19 +367,21 @@ class RegistryDaemon:
             except UnknownReflector:
                 conn.send_msg(make_ack(False, error="UnknownReflector"))
         elif kind == "subscribe":
+            # Checked before attaching: the ack must precede the heads of the
+            # matching series, which subscribe() delivers at once.
             try:
-                sub = self.monitor.subscribe(
-                    msg["filter"],
-                    reflectors=msg.get("reflectors"),
-                    min_interval_ms=msg.get("min_interval_ms", 0.0),
-                )
-            except OverlayError as exc:
+                compile_pattern(msg["filter"])
+            except BadPattern as exc:
                 conn.send_msg(make_ack(False, error="BadPattern: %s" % exc))
                 return
-            self._subscribers[conn] = sub
+            self._unsubscribe(conn)
             conn.send_msg(make_ack(True))
-            for sample in sub.drain():
-                conn.send_msg(make_metric_event(sample))
+            self._subscribers[conn] = self.monitor.subscribe(
+                msg["filter"],
+                lambda sample: conn.send_msg(make_metric_event(sample)),
+                reflectors=msg.get("reflectors"),
+                min_interval_ms=msg.get("min_interval_ms", 0.0),
+            )
             snap = self.registry.latest_snapshot
             if snap is not None:
                 conn.send_msg(make_snapshot(snap))
@@ -390,13 +394,15 @@ class RegistryDaemon:
             sample = metric_sample_from_event(msg)
             self.monitor.record(sample)
             self._derive_link(sample)
-            for sub_conn, sub in list(self._subscribers.items()):
-                for queued in sub.drain():
-                    sub_conn.send_msg(make_metric_event(queued))
         elif kind == "probe":
             conn.send_msg(make_probe_reply(0, self.registry.routing_epoch))
         else:
             conn.send_msg(make_ack(False, error="unsupported kind %r" % kind))
+
+    def _unsubscribe(self, conn: _Conn) -> None:
+        sub = self._subscribers.pop(conn, None)
+        if sub is not None:
+            self.monitor.unsubscribe(sub.id)
 
     def _derive_link(self, sample: MetricSample) -> None:
         """Uplinked peer.<id>.rtt_ms samples define the overlay's link table."""
@@ -446,7 +452,7 @@ class RegistryDaemon:
         stale_after = self.config.heartbeat_interval_ms + self.config.probe_deadline_ms
         results = {}
         for rid in self.supervisor.probe_targets():
-            entry = next((e for e in self.registry.entries() if e.reflector == rid), None)
+            entry = self.registry.entry(rid)
             alive = entry is not None and now - entry.last_heartbeat <= stale_after
             results[rid] = ProbeResult.OK if alive else ProbeResult.NO_ANSWER
         for action in self.supervisor.supervise_tick(results, now):
@@ -454,17 +460,17 @@ class RegistryDaemon:
                 log.warning("restart requested for reflector %d (attempt %d); daemon mode "
                             "does not restart reflectors", action.reflector, action.attempt)
             elif isinstance(action, NotificationEvent):
-                msg = make_notification_event(
-                    action.reflector, action.reason, action.at, action.recipients
-                )
-                for conn in list(self._subscribers):
-                    conn.send_msg(msg)
+                self._notify(action)
 
-
-class _LogSink:
-    def send(self, event) -> None:
-        log.error("notification: reflector %d %s (to %s)",
-                  event.reflector, event.reason, ", ".join(event.recipients) or "<nobody>")
+    def _notify(self, event: NotificationEvent) -> None:
+        """One JSON line on stderr, one notification event to every subscriber."""
+        line = json.dumps({"reflector": event.reflector, "reason": event.reason,
+                           "at": event.at, "recipients": list(event.recipients)},
+                          sort_keys=True)
+        print(line, file=sys.stderr, flush=True)
+        msg = make_notification_event(event.reflector, event.reason, event.at, event.recipients)
+        for conn in list(self._subscribers):
+            conn.send_msg(msg)
 
 
 class ReflectorDaemon:

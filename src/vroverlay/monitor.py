@@ -7,10 +7,10 @@ budget, the globally oldest retained sample goes first: a FIFO of series
 keys in record order, skipping entries whose sample the ring already dropped.
 The defaults keep the whole store well under a 16 MB footprint.
 
-Subscribers attach a glob filter over metric names plus an optional
-reflector set; delivery goes through a bounded per-subscriber queue so a
-slow consumer can never block recording (overflow drops the oldest queued
-sample and counts it).
+Subscribers attach a glob filter over metric names, an optional reflector
+set and a delivery callable. Each matching sample is handed to the callable
+as it is recorded, so the callable must not block: the registry daemon's
+callable puts the sample on the connection's bounded drop-oldest send queue.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import BadPattern
 from .model import LinkStats, ReflectorId
@@ -31,7 +31,6 @@ from .model import LinkStats, ReflectorId
 SAMPLE_COST_BYTES = 256
 DEFAULT_SERIES_CAPACITY = 4096
 DEFAULT_BUDGET_BYTES = 8 * 1024 * 1024
-DEFAULT_SUBSCRIBER_QUEUE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,51 +68,37 @@ def compile_pattern(pattern: str) -> "re.Pattern":
 
 
 class Subscription:
-    """One attached consumer: filters, rate limit, and a bounded queue."""
+    """One attached consumer: filters, rate limit, and its delivery callable."""
 
     def __init__(
         self,
         sub_id: int,
         pattern: str,
+        deliver: Callable[[MetricSample], None],
         reflectors: Optional[Iterable[ReflectorId]] = None,
         min_interval_ms: float = 0.0,
-        queue_capacity: int = DEFAULT_SUBSCRIBER_QUEUE,
     ):
         self.id = sub_id
         self.pattern = pattern
         self._regex = compile_pattern(pattern)
+        self.deliver = deliver
         self.reflectors = frozenset(reflectors) if reflectors is not None else None
         self.min_interval_ms = min_interval_ms
-        self.queue: deque = deque()
-        self.queue_capacity = queue_capacity
-        self.dropped = 0
-        self.delivered = 0
-        self._last_sent: dict = {}  # (reflector, name) -> at of last queued sample
+        self._last_sent: dict = {}  # (reflector, name) -> at of last delivered sample
 
     def matches(self, sample: MetricSample) -> bool:
         if self.reflectors is not None and sample.reflector not in self.reflectors:
             return False
         return self._regex.match(sample.name) is not None
 
-    def offer(self, sample: MetricSample) -> bool:
-        """Queue a matching sample, honoring min_interval per series."""
+    def offer(self, sample: MetricSample) -> None:
+        """Deliver a matching sample, honoring min_interval per series."""
         key = (sample.reflector, sample.name)
         last = self._last_sent.get(key)
         if last is not None and self.min_interval_ms > 0 and sample.at - last < self.min_interval_ms:
-            return False
+            return
         self._last_sent[key] = sample.at
-        if len(self.queue) >= self.queue_capacity:
-            self.queue.popleft()
-            self.dropped += 1
-        self.queue.append(sample)
-        self.delivered += 1
-        return True
-
-    def drain(self) -> list:
-        """Take everything currently queued."""
-        out = list(self.queue)
-        self.queue.clear()
-        return out
+        self.deliver(sample)
 
 
 class RecordResult:
@@ -243,14 +228,12 @@ class MonitorService:
     def subscribe(
         self,
         pattern: str,
+        deliver: Callable[[MetricSample], None],
         reflectors: Optional[Iterable[ReflectorId]] = None,
         min_interval_ms: float = 0.0,
-        queue_capacity: int = DEFAULT_SUBSCRIBER_QUEUE,
     ) -> Subscription:
-        """Attach a subscriber; current heads of matching series are queued first."""
-        sub = Subscription(
-            next(self._next_sub), pattern, reflectors, min_interval_ms, queue_capacity
-        )
+        """Attach a subscriber; current heads of matching series are delivered first."""
+        sub = Subscription(next(self._next_sub), pattern, deliver, reflectors, min_interval_ms)
         for sample in self.store.heads():
             if sub.matches(sample):
                 sub.offer(sample)

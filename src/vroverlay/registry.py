@@ -4,9 +4,9 @@ One logical writer owns the registry: reflectors register, heartbeat,
 and advertise their room membership here; the optimizer feeds back the
 installed distribution tree and gateway-flow diagnostics. Entries fall out
 of snapshots once silent longer than the liveness timeout (default three
-heartbeat intervals), and snapshots are published to subscribers on a fixed
-interval, so a freshly registered reflector becomes visible within one
-publish interval.
+heartbeat intervals). The owner publishes a snapshot on a fixed interval and
+hands it to its subscribers, so a freshly registered reflector becomes
+visible within one publish interval.
 """
 from __future__ import annotations
 
@@ -87,7 +87,6 @@ class Registry:
         heartbeat_interval_ms: float = DEFAULT_HEARTBEAT_INTERVAL_MS,
         liveness_intervals: int = DEFAULT_LIVENESS_INTERVALS,
     ):
-        self.heartbeat_interval_ms = heartbeat_interval_ms
         self.liveness_timeout_ms = heartbeat_interval_ms * liveness_intervals
         self._entries: dict = {}          # ReflectorId -> RegistryEntry
         self._rooms_by_reflector: dict = {}  # ReflectorId -> set of RoomId
@@ -97,8 +96,6 @@ class Registry:
         self._snapshot_epoch = 0
         self._routing_epoch = 0
         self._latest: Optional[TopologySnapshot] = None
-        self._subscribers: dict = {}
-        self._next_sub = 1
 
     # --- membership of the overlay itself ---
 
@@ -144,6 +141,9 @@ class Registry:
     def entries(self) -> list:
         return [self._entries[rid] for rid in sorted(self._entries)]
 
+    def entry(self, reflector: ReflectorId) -> Optional[RegistryEntry]:
+        return self._entries.get(reflector)
+
     def is_live(self, reflector: ReflectorId) -> bool:
         return reflector in self._entries
 
@@ -184,7 +184,7 @@ class Registry:
     def set_flow(self, flow: Optional[FlowSummary]) -> None:
         self._flow = flow
 
-    # --- snapshots and subscriptions ---
+    # --- snapshots ---
 
     def build_snapshot(self) -> TopologySnapshot:
         """Consistent view of the current state under the next epoch."""
@@ -203,27 +203,16 @@ class Registry:
         )
 
     def publish_snapshot(self, now: float) -> TopologySnapshot:
-        """Expire stale entries, advance the epoch, and push to subscribers."""
+        """Expire stale entries, advance the epoch, and return the new snapshot."""
         self.expire(now)
         snapshot = self.build_snapshot()
         self._snapshot_epoch = snapshot.epoch
         self._latest = snapshot
-        for callback in list(self._subscribers.values()):
-            callback(snapshot)
         return snapshot
 
     @property
     def latest_snapshot(self) -> Optional[TopologySnapshot]:
         return self._latest
-
-    def subscribe(self, callback: Callable[[TopologySnapshot], None]) -> int:
-        sub_id = self._next_sub
-        self._next_sub += 1
-        self._subscribers[sub_id] = callback
-        return sub_id
-
-    def unsubscribe(self, sub_id: int) -> None:
-        self._subscribers.pop(sub_id, None)
 
     # --- routing distribution ---
 

@@ -42,7 +42,7 @@ from ..reflector import (
     SelectSpeaker,
 )
 from ..registry import RegistryEntry
-from ..supervisor import MemorySink, NotificationEvent, ProbeResult, RestartCommand
+from ..supervisor import NotificationEvent, ProbeResult, RestartCommand
 from ..wire import HEADER_SIZE
 from .core import EventLoop, SimLink, SimNetwork
 from .scenario import (
@@ -205,11 +205,9 @@ class OverlaySim:
 
     def __init__(self, scenario: Scenario, monitoring: bool = True):
         self.scenario = scenario
-        self.config = apply_overrides(OverlayConfig(), scenario.config)
-        if scenario.gateway_pair is not None and self.config.gateway_pair is None:
-            self.config = apply_overrides(
-                self.config, {"gateway_pair": scenario.gateway_pair}
-            )
+        self.config = apply_overrides(
+            OverlayConfig(), {"gateway_pair": scenario.gateway_pair, **scenario.config}
+        )
         self.monitoring = monitoring
         self.loop = EventLoop()
         self.net = SimNetwork(self.loop, scenario.seed)
@@ -219,8 +217,8 @@ class OverlaySim:
         self.isolated: set = set()
         self._partition_down: set = set()
 
-        self.notification_sink = MemorySink()
-        self.control = ControlPlane(self.config, self._install_table, self.notification_sink)
+        self.notifications: list = []  # NotificationEvents, in supervision order
+        self.control = ControlPlane(self.config, self._install_table)
         self.registry = self.control.registry
         self.supervisor = self.control.supervisor
         self.monitor = MonitorService(
@@ -299,9 +297,6 @@ class OverlaySim:
 
     def schedule(self, at: float, fn) -> None:
         self.loop.schedule(at, fn)
-
-    def subscribe_topology(self, callback) -> int:
-        return self.registry.subscribe(callback)
 
     # --- tracing ---
 
@@ -417,6 +412,7 @@ class OverlaySim:
             if isinstance(action, RestartCommand):
                 self._run_restart(action)
             elif isinstance(action, NotificationEvent):
+                self.notifications.append(action)
                 self._trace(
                     "notification",
                     reflector=action.reflector,
@@ -654,7 +650,7 @@ class OverlaySim:
             ),
             chair_drops=sum(n.engine.counters.chair_drops for n in self.nodes.values()),
             routing_epochs=list(self.routing_epochs),
-            notifications=list(self.notification_sink.events),
+            notifications=list(self.notifications),
             violations=list(self.violations),
             trace=self.trace,
         )
@@ -677,7 +673,7 @@ class OverlaySim:
                         "packet %s delivered to unexpected client %d" % (key, client)
                     )
         if "notifications" in expect:
-            got = len(self.notification_sink.events)
+            got = len(self.notifications)
             if got != expect["notifications"]:
                 self._violate(
                     "expected %d notifications, got %d" % (expect["notifications"], got)

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import SchemaError
+from ..config import OverlayConfig, apply_overrides
+from ..errors import ConfigError, SchemaError
 from ..model import PayloadType, link_key
 
 _PAYLOAD_TYPES = {
@@ -274,6 +275,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         if g[0] == g[1] or g[0] not in rids or g[1] not in rids:
             raise SchemaError("field gateway_pair: must name two distinct reflectors")
         gateway = tuple(g)
+    _check_config(doc.get("config", {}), "gateway_pair" in doc, rids)
 
     events = []
     last_t = -1.0
@@ -298,6 +300,23 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         expect=dict(doc.get("expect", {})),
         events=events,
     )
+
+
+def _check_config(config: dict, top_level_gateway: bool, rids: set) -> None:
+    """Apply the overrides to a default OverlayConfig, as the simulator will."""
+    overlay = OverlayConfig()
+    for key, value in config.items():
+        try:
+            overlay = apply_overrides(overlay, {key: value})
+        except ConfigError as exc:
+            raise SchemaError("field config.%s: %s" % (key, exc)) from None
+    if "gateway_pair" in config:
+        if top_level_gateway:
+            raise SchemaError("field config.gateway_pair: the gateway pair is also set "
+                              "at top level")
+        for rid in overlay.gateway_pair or ():
+            if rid not in rids:
+                raise SchemaError("field config.gateway_pair: unknown reflector %d" % rid)
 
 
 def _parse_event(spec, where, rids, room_members, seen_links):

@@ -12,16 +12,16 @@ Failed reflectors stop being probed and stay excluded from optimizer
 graphs until an operator clears them. A Failed episode produces exactly one
 notification no matter how long it lasts.
 
-Probing and restarting are pluggable hooks so the same machine runs against
-the simulator and against real daemons; notifications go to a sink object
-(in-memory and JSON-lines file sinks provided).
+The supervisor never probes, restarts or notifies by itself: the caller
+passes each round's probe results to ``supervise_tick`` and carries out the
+restart commands and notifications it returns, so the same machine runs
+against the simulator and against real daemons.
 """
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import NotFailed
 from .model import ReflectorId
@@ -67,55 +67,17 @@ class NotificationEvent:
     recipients: tuple
 
 
-class NotificationSink:
-    """Interface for notification transports."""
-
-    def send(self, event: NotificationEvent) -> None:
-        raise NotImplementedError
-
-
-class MemorySink(NotificationSink):
-    def __init__(self):
-        self.events: list = []
-
-    def send(self, event: NotificationEvent) -> None:
-        self.events.append(event)
-
-
-class JsonLinesSink(NotificationSink):
-    """Renders notifications as JSON lines to a writable stream."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def send(self, event: NotificationEvent) -> None:
-        line = json.dumps(
-            {
-                "reflector": event.reflector,
-                "reason": event.reason,
-                "at": event.at,
-                "recipients": list(event.recipients),
-            },
-            sort_keys=True,
-        )
-        self.stream.write(line + "\n")
-        if hasattr(self.stream, "flush"):
-            self.stream.flush()
-
-
 class Supervisor:
     """Folds probe outcomes into health records and issues actions."""
 
     def __init__(
         self,
         k_miss: int = DEFAULT_K_MISS,
-        sink: Optional[NotificationSink] = None,
         recipients: Iterable[str] = (),
     ):
         if k_miss < 1:
             raise ValueError("k_miss must be >= 1")
         self.k_miss = k_miss
-        self.sink = sink if sink is not None else MemorySink()
         self.recipients = tuple(recipients)
         self.records: dict = {}  # ReflectorId -> HealthRecord
         self.unreachable: dict = {}  # ReflectorId -> failed control deliveries
@@ -175,14 +137,12 @@ class Supervisor:
                     actions.append(RestartCommand(rid, attempt=record.restart_attempts))
                 else:
                     record.state = HealthState.FAILED
-                    event = NotificationEvent(
+                    actions.append(NotificationEvent(
                         reflector=rid,
                         reason="reflector failed to restart %d times" % MAX_RESTART_ATTEMPTS,
                         at=now,
                         recipients=self.recipients,
-                    )
-                    self.sink.send(event)
-                    actions.append(event)
+                    ))
         return actions
 
     def clear_failed(self, reflector: ReflectorId) -> HealthRecord:

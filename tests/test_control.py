@@ -8,14 +8,14 @@ from vroverlay.errors import RegistryUnreachable
 from vroverlay.model import LinkStats, link_key
 from vroverlay.protocol import decode_message, encode_message, make_snapshot_request
 from vroverlay.registry import RegistryEntry
-from vroverlay.supervisor import HealthState, MemorySink, ProbeResult
+from vroverlay.supervisor import HealthState, ProbeResult
 
 from test_daemon import FAST, reflector, wait_for
 
 
 def control_plane(transport):
     """Reflectors 1-3 in a triangle; (1, 2) is the cheapest link."""
-    control = ControlPlane(OverlayConfig(), transport, MemorySink())
+    control = ControlPlane(OverlayConfig(), transport)
     for rid in (1, 2, 3):
         control.registry.register(RegistryEntry(reflector=rid, control_address="fake://%d" % rid))
         control.supervisor.watch(rid)

@@ -1,4 +1,5 @@
 """Daemon integration over real sockets: registration, media, routing, metrics."""
+import json
 import socket
 import threading
 import time
@@ -9,10 +10,12 @@ from vroverlay.config import load_config
 from vroverlay.daemon import ReflectorDaemon, RegistryDaemon
 from vroverlay.errors import RegistryUnreachable
 from vroverlay.model import MediaPacket, PayloadType
+from vroverlay.monitor import MetricSample
 from vroverlay.protocol import (
     decode_message,
     encode_message,
     make_hello_client,
+    make_metric_event,
     make_probe,
     make_register,
     make_snapshot_request,
@@ -171,6 +174,111 @@ def test_subscriber_streams_uplinked_metrics(registry):
         sock.close()
     finally:
         ref.shutdown()
+
+
+def send_metrics(sock, reflector, name, ats):
+    sock.sendall(b"".join(
+        encode_message(make_metric_event(MetricSample(reflector, name, 1.0, at))).encode()
+        for at in ats))
+
+
+def test_closed_subscriber_leaves_no_subscription(registry):
+    feeder = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    sub = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    try:
+        send_metrics(feeder, 5, "vrvs.clients", [1.0])
+        assert wait_for(lambda: registry.monitor.store.head(5, "vrvs.clients") is not None
+                        and registry.registry.latest_snapshot is not None)
+        reader = sub.makefile("r")
+        sub.sendall(encode_message(make_subscribe("vrvs.*")).encode())
+        # The ack, then the head of every matching series, then the snapshot.
+        replies = [decode_message(reader.readline()) for _ in range(3)]
+        assert [m["kind"] for m in replies] == ["ack", "event", "snapshot"]
+        assert replies[0]["ok"]
+        assert (replies[1]["reflector"], replies[1]["name"]) == (5, "vrvs.clients")
+        # Subscribing again replaces the connection's subscription.
+        sub.sendall(encode_message(make_subscribe("sys.*")).encode())
+        while (msg := decode_message(reader.readline()))["kind"] != "ack":
+            pass
+        assert msg["ok"]
+        assert wait_for(lambda: len(registry.monitor._subs) == 1)
+        reader.close()  # the socket stays open while its file is
+        sub.close()
+        send_metrics(feeder, 5, "vrvs.clients", [float(at) for at in range(2, 50)])
+        assert wait_for(lambda: registry.monitor.store.head(5, "vrvs.clients").at == 49.0)
+        assert wait_for(lambda: not registry.monitor._subs)
+    finally:
+        feeder.close()
+        sub.close()
+
+
+def test_stalled_subscriber_loses_its_oldest_messages_on_its_connection():
+    # Default intervals: no snapshot push joins the metric stream.
+    daemon = RegistryDaemon(load_config(None, {"subscriber_queue": 8}), listen="127.0.0.1:0")
+    daemon.start()
+    feeder = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    sub = socket.socket()
+    sub.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    try:
+        sub.connect(("127.0.0.1", daemon.port))
+        sub.sendall(encode_message(make_subscribe("big.*")).encode())
+        assert wait_for(lambda: daemon._subscribers)
+        # About 6 MB of events, more than the kernel buffers hold while no one reads.
+        name, count = "big." + "x" * 1000, 6000
+        send_metrics(feeder, 5, name, [float(at) for at in range(1, count + 1)])
+        assert wait_for(lambda: (head := daemon.monitor.store.head(5, name)) is not None
+                        and head.at == count)
+        conn = next(iter(daemon._subscribers))
+        assert conn.dropped > 0
+        reader = sub.makefile("r")
+        assert decode_message(reader.readline())["ok"]
+        ats = [0.0]
+        while ats[-1] != count:
+            ats.append(decode_message(reader.readline())["at"])
+        assert ats == sorted(set(ats))  # the newest survive, in order
+        assert len(ats) - 1 + conn.dropped == count
+        reader.close()
+    finally:
+        feeder.close()
+        sub.close()
+        daemon.stop()
+
+
+def test_failed_reflector_notifies_subscriber_and_stderr_once(capsys):
+    daemon = RegistryDaemon(
+        load_config(None, {**FAST, "k_miss": 1, "probe_interval_ms": 100,
+                           "probe_deadline_ms": 100, "admins": "ops@example.net"}),
+        listen="127.0.0.1:0")
+    daemon.start()
+    control = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    sub = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    try:
+        reader = sub.makefile("r")
+        sub.sendall(encode_message(make_subscribe("none.*")).encode())
+        assert decode_message(reader.readline())["ok"]
+        # Reflector 9 registers and never heartbeats: one missed probe, two
+        # restarts that do not happen, then Failed.
+        control.sendall(encode_message(make_register(9, "127.0.0.1:9")).encode())
+        assert wait_for(lambda: 9 in daemon.supervisor.failed())
+        notices = []
+        deadline = time.time() + 0.5  # five more probe intervals: one Failed episode, one notice
+        while time.time() < deadline:  # snapshot pushes keep each read short
+            msg = decode_message(reader.readline())
+            if msg["kind"] == "event" and msg["event"] == "notification":
+                notices.append(msg)
+        assert len(notices) == 1
+        notice = notices[0]
+        assert (notice["reflector"], notice["recipients"]) == (9, ["ops@example.net"])
+        assert notice["reason"] == "reflector failed to restart 2 times"
+        err_lines = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("{")]
+        assert err_lines == [json.dumps({"at": notice["at"], "reason": notice["reason"],
+                                         "recipients": ["ops@example.net"], "reflector": 9},
+                                        sort_keys=True)]
+    finally:
+        control.close()
+        sub.close()
+        daemon.stop()
 
 
 def test_duplicate_registration_raises(registry):

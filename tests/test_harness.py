@@ -421,12 +421,12 @@ def test_monitor_tick_emits_quality_series():
 
 def test_new_reflector_visible_to_subscriber_within_one_publish_interval():
     sim = OverlaySim(load_scenario(triangle_doc(duration_ms=60000)))
-    seen = []
-    sim.subscribe_topology(lambda snap: seen.append((sim.loop.now, sorted(snap.live_ids()))))
     register_at = 25000.0
     sim.schedule(register_at, lambda: sim.add_reflector(9, region="US", link_to=1, latency_ms=20.0))
-    sim.run()
-    first_with_9 = next(t for t, ids in seen if 9 in ids)
+    report = sim.run()
+    snapshots = [(e["t"], e["reflectors"]) for e in report.trace if e["kind"] == "snapshot"]
+    assert snapshots[0] == (0.0, [1, 2, 3])
+    first_with_9 = next(t for t, ids in snapshots if 9 in ids)
     assert first_with_9 - register_at <= sim.config.publish_interval_ms
 
 

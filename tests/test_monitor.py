@@ -250,29 +250,30 @@ def test_pattern_globbing():
 
 def test_subscription_receives_matching_sample():
     svc = MonitorService()
-    sub = svc.subscribe("vrvs.*", min_interval_ms=0.0)
+    got = []
+    svc.subscribe("vrvs.*", got.append, min_interval_ms=0.0)
     svc.record(sample(name="vrvs.clients", value=5.0, at=1.0))
     svc.record(sample(name="sys.load", value=0.5, at=1.0))
-    got = sub.drain()
     assert [s.name for s in got] == ["vrvs.clients"]
     assert got[0].value == 5.0
 
 
 def test_subscription_reflector_filter():
     svc = MonitorService()
-    sub = svc.subscribe("*", reflectors={2})
+    got = []
+    svc.subscribe("*", got.append, reflectors={2})
     svc.record(sample(reflector=1, at=1.0))
     svc.record(sample(reflector=2, at=1.0))
-    assert [s.reflector for s in sub.drain()] == [2]
+    assert [s.reflector for s in got] == [2]
 
 
 def test_subscription_min_interval_rate_limit():
     svc = MonitorService()
-    sub = svc.subscribe("sys.load", min_interval_ms=30_000.0)
+    got = []
+    svc.subscribe("sys.load", got.append, min_interval_ms=30_000.0)
     for i in range(7):  # every 10 s for 60 s
         svc.record(sample(at=i * 10_000.0))
-    ats = [s.at for s in sub.drain()]
-    assert ats == [0.0, 30_000.0, 60_000.0]
+    assert [s.at for s in got] == [0.0, 30_000.0, 60_000.0]
 
 
 def test_subscription_catch_up_heads_on_subscribe():
@@ -280,43 +281,36 @@ def test_subscription_catch_up_heads_on_subscribe():
     svc.record(sample(name="vrvs.rooms", value=1.0, at=1.0))
     svc.record(sample(name="vrvs.rooms", value=2.0, at=2.0))
     svc.record(sample(name="sys.load", value=0.1, at=2.0))
-    sub = svc.subscribe("vrvs.*")
-    got = sub.drain()
+    got = []
+    svc.subscribe("vrvs.*", got.append)
     assert [(s.name, s.value) for s in got] == [("vrvs.rooms", 2.0)]
 
 
 def test_subscription_completeness_exactly_once():
     svc = MonitorService()
-    sub = svc.subscribe("m.*", min_interval_ms=0.0)
+    got = []
+    svc.subscribe("m.*", got.append, min_interval_ms=0.0)
     sent = []
     for i in range(500):
         s = sample(name="m.%d" % (i % 7), at=float(i))
         sent.append(s)
         svc.record(s)
-    assert sub.drain() == sent
-
-
-def test_subscriber_queue_overflow_drops_oldest():
-    svc = MonitorService()
-    sub = svc.subscribe("*", queue_capacity=5)
-    for i in range(9):
-        svc.record(sample(at=float(i), value=float(i)))
-    assert sub.dropped == 4
-    assert [s.value for s in sub.drain()] == [4.0, 5.0, 6.0, 7.0, 8.0]
+    assert got == sent
 
 
 def test_unsubscribe_stops_delivery():
     svc = MonitorService()
-    sub = svc.subscribe("*")
+    got = []
+    sub = svc.subscribe("*", got.append)
     svc.unsubscribe(sub.id)
     svc.record(sample(at=1.0))
-    assert sub.drain() == []
+    assert got == []
 
 
 def test_bad_pattern_on_subscribe():
     svc = MonitorService()
     with pytest.raises(BadPattern):
-        svc.subscribe("[")
+        svc.subscribe("[", lambda sample: None)
 
 
 # --- collection ---

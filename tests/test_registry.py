@@ -57,6 +57,8 @@ def test_heartbeat_keeps_entry_live_and_silence_expires_it():
     snap = reg.publish_snapshot(40.5)  # reflector 2 silent for > 30 ms
     assert [e.reflector for e in snap.reflectors] == [1]
     assert not reg.is_live(2)
+    assert reg.entry(1).last_heartbeat == 40.0
+    assert reg.entry(2) is None
 
 
 def test_heartbeat_unknown_reflector():
@@ -133,13 +135,11 @@ def test_snapshot_epochs_strictly_increase():
 
 def test_subscriber_sees_new_reflector_within_one_publish():
     reg = Registry()
-    seen = []
-    reg.subscribe(lambda snap: seen.append(sorted(snap.live_ids())))
     reg.register(entry(1))
-    reg.publish_snapshot(0.0)
+    assert reg.publish_snapshot(0.0).live_ids() == {1}
     reg.register(entry(4))
-    reg.publish_snapshot(10.0)  # next interval: reflector 4 must appear
-    assert seen == [[1], [1, 4]]
+    assert reg.publish_snapshot(10.0).live_ids() == {1, 4}  # next interval: 4 appears
+    assert reg.latest_snapshot.live_ids() == {1, 4}
 
 
 def test_deregister_removes_entry():

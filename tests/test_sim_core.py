@@ -9,6 +9,7 @@ import pytest
 from vroverlay.errors import LinkDown, SchemaError, TimeRegression
 from vroverlay.sim import (
     EventLoop,
+    OverlaySim,
     SimLink,
     SimNetwork,
     deliver_or_drop,
@@ -254,10 +255,16 @@ def test_typed_events_parse():
 def test_gateway_pair_validation():
     doc = minimal_doc(reflectors=[{"id": 1}, {"id": 2}], gateway_pair=[1, 2])
     assert load_scenario(doc).gateway_pair == (1, 2)
+    assert OverlaySim(load_scenario(doc)).config.gateway_pair == (1, 2)
     with pytest.raises(SchemaError):
         load_scenario(minimal_doc(gateway_pair=[1, 1]))
     with pytest.raises(SchemaError):
         load_scenario(minimal_doc(gateway_pair=[1, 9]))
+    # Set in `config` instead, it is checked at load too and reaches the simulator.
+    doc = minimal_doc(reflectors=[{"id": 1}, {"id": 2}], config={"gateway_pair": "2,1"})
+    scenario = load_scenario(doc)
+    assert scenario.config == {"gateway_pair": "2,1"}
+    assert OverlaySim(scenario).config.gateway_pair == (2, 1)
 
 
 def two_reflector_doc(*events, **extra):
@@ -304,6 +311,10 @@ BAD_VALUES = [
     ("links[0].latency_ms", two_reflector_doc(links=[{"a": 1, "b": 2,
                                                       "latency_ms": float("nan")}])),
     ("duration_ms", minimal_doc(duration_ms=float("inf"))),
+    ("config.k_miss", minimal_doc(config={"k_miss": 0})),
+    ("config.gateway_pair", minimal_doc(reflectors=[{"id": 1}, {"id": 2}, {"id": 3}],
+                                        gateway_pair=[1, 2], config={"gateway_pair": "2,3"})),
+    ("config.gateway_pair", minimal_doc(config={"gateway_pair": "5,9"})),
 ]
 
 

@@ -1,6 +1,4 @@
 """Supervisor: restart state machine, escalation, reference-machine fuzzing."""
-import io
-import json
 import random
 
 import pytest
@@ -8,8 +6,6 @@ import pytest
 from vroverlay.errors import NotFailed
 from vroverlay.supervisor import (
     HealthState,
-    JsonLinesSink,
-    MemorySink,
     NotificationEvent,
     ProbeResult,
     RestartCommand,
@@ -20,27 +16,29 @@ RID = 3
 
 
 def make_supervisor(k_miss=2):
-    sink = MemorySink()
-    sup = Supervisor(k_miss=k_miss, sink=sink, recipients=("ops@example.net",))
+    sup = Supervisor(k_miss=k_miss, recipients=("ops@example.net",))
     sup.watch(RID)
-    return sup, sink
+    return sup
 
 
 def tick(sup, result, now=0.0):
     return sup.supervise_tick({RID: result}, now)
 
 
+def notifications(actions):
+    return [a for a in actions if isinstance(a, NotificationEvent)]
+
+
 def test_healthy_reflector_quiescent_over_1000_ticks():
-    sup, sink = make_supervisor()
+    sup = make_supervisor()
     for i in range(1000):
         actions = tick(sup, ProbeResult.OK, now=float(i))
         assert actions == []
     assert sup.records[RID].state is HealthState.UP
-    assert sink.events == []
 
 
 def test_kill_then_successful_restart_path():
-    sup, sink = make_supervisor()
+    sup = make_supervisor()
     assert tick(sup, ProbeResult.NO_ANSWER) == []
     assert sup.records[RID].state is HealthState.UNRESPONSIVE
     actions = tick(sup, ProbeResult.NO_ANSWER)
@@ -49,28 +47,27 @@ def test_kill_then_successful_restart_path():
     assert tick(sup, ProbeResult.OK) == []
     assert sup.records[RID].state is HealthState.UP
     assert sup.records[RID].restart_attempts == 0
-    assert sink.events == []
 
 
 def test_two_failed_restarts_escalate_exactly_once():
-    sup, sink = make_supervisor()
+    sup = make_supervisor()
     tick(sup, ProbeResult.NO_ANSWER)
     assert tick(sup, ProbeResult.NO_ANSWER) == [RestartCommand(RID, attempt=1)]
     assert tick(sup, ProbeResult.NO_ANSWER) == [RestartCommand(RID, attempt=2)]
     actions = tick(sup, ProbeResult.NO_ANSWER, now=40.0)
-    assert len(actions) == 1 and isinstance(actions[0], NotificationEvent)
+    assert actions == [NotificationEvent(
+        reflector=RID, reason="reflector failed to restart 2 times", at=40.0,
+        recipients=("ops@example.net",),
+    )]
     assert sup.records[RID].state is HealthState.FAILED
-    assert len(sink.events) == 1
-    assert sink.events[0].recipients == ("ops@example.net",)
     # Failed reflectors are no longer probed and never re-notify.
     assert sup.probe_targets() == []
     for _ in range(10):
         assert tick(sup, ProbeResult.NO_ANSWER) == []
-    assert len(sink.events) == 1
 
 
 def test_recovery_during_miss_window_resets_counter():
-    sup, _ = make_supervisor(k_miss=3)
+    sup = make_supervisor(k_miss=3)
     tick(sup, ProbeResult.NO_ANSWER)
     tick(sup, ProbeResult.NO_ANSWER)
     tick(sup, ProbeResult.OK)
@@ -81,17 +78,17 @@ def test_recovery_during_miss_window_resets_counter():
 
 
 def test_second_restart_success_recovers():
-    sup, sink = make_supervisor()
-    tick(sup, ProbeResult.NO_ANSWER)
-    tick(sup, ProbeResult.NO_ANSWER)   # restart 1
-    tick(sup, ProbeResult.NO_ANSWER)   # restart 2
+    sup = make_supervisor()
+    actions = []
+    for _ in range(3):  # unresponsive, restart 1, restart 2
+        actions += tick(sup, ProbeResult.NO_ANSWER)
     assert tick(sup, ProbeResult.OK) == []
     assert sup.records[RID].state is HealthState.UP
-    assert sink.events == []
+    assert notifications(actions) == []
 
 
 def test_clear_failed_resumes_probing():
-    sup, sink = make_supervisor()
+    sup = make_supervisor()
     for _ in range(4):
         tick(sup, ProbeResult.NO_ANSWER)
     assert sup.records[RID].state is HealthState.FAILED
@@ -105,7 +102,7 @@ def test_clear_failed_resumes_probing():
 
 
 def test_clear_failed_rejects_non_failed():
-    sup, _ = make_supervisor()
+    sup = make_supervisor()
     with pytest.raises(NotFailed):
         sup.clear_failed(RID)
     with pytest.raises(NotFailed):
@@ -113,18 +110,10 @@ def test_clear_failed_rejects_non_failed():
 
 
 def test_failed_set_feeds_optimizer_exclusion():
-    sup, _ = make_supervisor()
+    sup = make_supervisor()
     for _ in range(4):
         tick(sup, ProbeResult.NO_ANSWER)
     assert sup.failed() == frozenset({RID})
-
-
-def test_json_lines_sink_format():
-    stream = io.StringIO()
-    sink = JsonLinesSink(stream)
-    sink.send(NotificationEvent(reflector=4, reason="down", at=12.5, recipients=("a@b",)))
-    doc = json.loads(stream.getvalue())
-    assert doc == {"reflector": 4, "reason": "down", "at": 12.5, "recipients": ["a@b"]}
 
 
 # --- reference state machine fuzzing ---
@@ -169,10 +158,10 @@ def test_randomized_sequences_match_reference_machine():
     rng = random.Random(20260811)
     for case in range(500):
         k_miss = rng.choice((1, 2, 3))
-        sup = Supervisor(k_miss=k_miss, sink=MemorySink())
+        sup = Supervisor(k_miss=k_miss)
         sup.watch(RID)
         ref = ReferenceMachine(k_miss)
-        restarts = 0
+        restarts = notified = 0
         for step in range(rng.randrange(1, 60)):
             ok = rng.random() < 0.55
             result = ProbeResult.OK if ok else ProbeResult.NO_ANSWER
@@ -181,10 +170,11 @@ def test_randomized_sequences_match_reference_machine():
             else:
                 actions = sup.supervise_tick({RID: result}, float(step))
             restarts += sum(1 for a in actions if isinstance(a, RestartCommand))
+            notified += len(notifications(actions))
             ref.step(ok)
         record = sup.records[RID]
         assert record.state.value == ref.state, "case %d" % case
-        assert len(sup.sink.events) == ref.notifications, "case %d" % case
+        assert notified == ref.notifications, "case %d" % case
         assert restarts == ref.restarts, "case %d" % case
         # Notification iff exactly two consecutive failed restart attempts.
         if ref.notifications:
@@ -194,7 +184,7 @@ def test_randomized_sequences_match_reference_machine():
 def test_no_restart_of_healthy_nodes_property():
     rng = random.Random(5)
     for _ in range(100):
-        sup = Supervisor(k_miss=rng.choice((1, 2, 3)), sink=MemorySink())
+        sup = Supervisor(k_miss=rng.choice((1, 2, 3)))
         sup.watch(RID)
         commands = []
         for step in range(50):
