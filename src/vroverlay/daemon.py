@@ -376,12 +376,16 @@ class RegistryDaemon:
                 return
             self._unsubscribe(conn)
             conn.send_msg(make_ack(True))
-            self._subscribers[conn] = self.monitor.subscribe(
+            sub = self.monitor.subscribe(
                 msg["filter"],
                 lambda sample: conn.send_msg(make_metric_event(sample)),
                 reflectors=msg.get("reflectors"),
                 min_interval_ms=msg.get("min_interval_ms", 0.0),
             )
+            if conn.closed:  # sending the ack or a head failed; _on_close has run
+                self.monitor.unsubscribe(sub.id)
+                return
+            self._subscribers[conn] = sub
             snap = self.registry.latest_snapshot
             if snap is not None:
                 conn.send_msg(make_snapshot(snap))

@@ -219,8 +219,9 @@ class MonitorService:
 
     def record(self, sample: MetricSample) -> str:
         result = self.store.record(sample)
-        if result == RecordResult.STORED:
-            for sub in self._subs.values():
+        if result == RecordResult.STORED and self._subs:
+            # A snapshot: delivering may close a subscriber, which unsubscribes it.
+            for sub in tuple(self._subs.values()):
                 if sub.matches(sample):
                     sub.offer(sample)
         return result

@@ -1,6 +1,7 @@
 """Daemon integration over real sockets: registration, media, routing, metrics."""
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -210,6 +211,90 @@ def test_closed_subscriber_leaves_no_subscription(registry):
     finally:
         feeder.close()
         sub.close()
+
+
+@pytest.fixture
+def idle_registry():
+    # Default intervals: no timer runs during a test, so a stalled loop
+    # next handles exactly what arrived on its sockets meanwhile.
+    daemon = RegistryDaemon(load_config(None, {}), listen="127.0.0.1:0")
+    daemon.start()
+    yield daemon
+    daemon.stop()
+
+
+def stall_loop(daemon, seconds, via):
+    """Return once the daemon's loop is blocked for ``seconds``.
+
+    A probe on the connected socket ``via`` wakes the loop to run the stall.
+    """
+    stalled = threading.Event()
+
+    def stall():
+        stalled.set()
+        time.sleep(seconds)
+
+    daemon._loop.call_later(0.0, stall)
+    via.sendall(encode_message(make_probe()).encode())
+    assert stalled.wait(5.0)
+
+
+def reset(sock):
+    """Close with SO_LINGER 0, so the peer gets a reset and its next send fails."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_reset_subscriber_does_not_close_the_feeder(idle_registry):
+    registry = idle_registry
+    feeder = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    gone = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    kept = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    try:
+        reader = kept.makefile("r")
+        for sub in (gone, kept):
+            sub.sendall(encode_message(make_subscribe("m.*")).encode())
+        assert decode_message(reader.readline())["ok"]
+        assert wait_for(lambda: len(registry._subscribers) == 2)
+        # The samples and the reset arrive while the loop is busy: delivering
+        # the first sample fails on the reset socket and closes it mid-fanout.
+        stall_loop(registry, 0.3, via=feeder)
+        count = 200
+        send_metrics(feeder, 5, "m.x", [float(at) for at in range(1, count + 1)])
+        reset(gone)
+        ats = []
+        while not ats or ats[-1] != count:
+            msg = decode_message(reader.readline())
+            if msg["kind"] == "event":
+                ats.append(msg["at"])
+        assert ats == [float(at) for at in range(1, count + 1)]
+        assert registry.monitor.store.series_length(5, "m.x") == count
+        assert len(registry.monitor._subs) == len(registry._subscribers) == 1
+        # The feeder's connection is still open: it answers a second probe.
+        feeder.sendall(encode_message(make_probe()).encode())
+        replies = feeder.makefile("r")
+        assert [decode_message(replies.readline())["kind"] for _ in range(2)] == [
+            "probe_reply", "probe_reply"]
+        replies.close()
+        reader.close()
+    finally:
+        feeder.close()
+        kept.close()
+
+
+def test_subscriber_reset_before_its_ack_leaves_no_subscription(idle_registry):
+    registry = idle_registry
+    with socket.create_connection(("127.0.0.1", registry.port), timeout=5) as feeder:
+        send_metrics(feeder, 5, "m.x", [1.0])
+        assert wait_for(lambda: registry.monitor.store.head(5, "m.x") is not None)
+    sub = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    # The subscribe is read after the reset: sending its ack fails.
+    stall_loop(registry, 0.3, via=sub)
+    sub.sendall(encode_message(make_subscribe("m.*")).encode())
+    reset(sub)
+    assert wait_for(lambda: not registry._loop.conns)
+    assert not registry._subscribers
+    assert not registry.monitor._subs
 
 
 def test_stalled_subscriber_loses_its_oldest_messages_on_its_connection():

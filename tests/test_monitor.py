@@ -307,6 +307,17 @@ def test_unsubscribe_stops_delivery():
     assert got == []
 
 
+def test_unsubscribing_during_delivery_spares_the_other_subscribers():
+    svc = MonitorService()
+    got = []
+    first = svc.subscribe("*", lambda sample: svc.unsubscribe(first.id))
+    svc.subscribe("*", got.append)
+    for at in (1.0, 2.0):
+        svc.record(sample(at=at))
+    assert [s.at for s in got] == [1.0, 2.0]
+    assert list(svc._subs) == [2]
+
+
 def test_bad_pattern_on_subscribe():
     svc = MonitorService()
     with pytest.raises(BadPattern):
