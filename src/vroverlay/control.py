@@ -25,8 +25,8 @@ from .optimizer import (
 )
 from .quality import QualityFactor, raw_quality, update_ewma
 from .reflector import RoutingTable
-from .registry import DeliveryReport, FlowSummary, Registry
-from .supervisor import Supervisor
+from .registry import DeliveryReport, FlowSummary, Registry, RegistryEntry
+from .supervisor import HealthState, Supervisor
 
 
 class ControlPlane:
@@ -57,6 +57,17 @@ class ControlPlane:
         self.filters[key] = current
         self.registry.report_link(stats, current)
         return current
+
+    def register(self, entry: RegistryEntry) -> int:
+        """Admit a reflector and watch it; returns the registry's epoch.
+
+        A Failed reflector that registers again has been restarted, so its
+        supervision resumes; that is the only way out of Failed.
+        """
+        epoch = self.registry.register(entry)
+        if self.supervisor.watch(entry.reflector).state is HealthState.FAILED:
+            self.supervisor.clear_failed(entry.reflector)
+        return epoch
 
     def deregister(self, reflector: ReflectorId) -> None:
         """Forget a reflector that left on purpose, filters included."""

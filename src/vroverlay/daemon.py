@@ -50,7 +50,7 @@ from .errors import (
     Truncated,
     UnknownReflector,
 )
-from .model import LinkStats, link_key
+from .model import NO_ID, LinkStats, link_key
 from .monitor import MetricCollector, MetricSample, MonitorService, compile_pattern
 from .protocol import (
     decode_message,
@@ -70,9 +70,9 @@ from .protocol import (
     metric_sample_from_event,
     routing_table_from_message,
 )
-from .reflector import DeliverLocal, LocalClient, Peer, ReflectorEngine
+from .reflector import ReflectorEngine
 from .registry import RegistryEntry
-from .supervisor import HealthState, NotificationEvent, ProbeResult, RestartCommand
+from .supervisor import NotificationEvent, ProbeResult, RestartCommand
 from .wire import HEADER_SIZE, read_media_packet
 
 log = logging.getLogger("vroverlay.daemon")
@@ -329,7 +329,7 @@ class RegistryDaemon:
         kind = msg["kind"]
         if kind == "register":
             try:
-                epoch = self.registry.register(
+                epoch = self.control.register(
                     RegistryEntry(
                         reflector=msg["reflector"],
                         control_address=msg["address"],
@@ -342,11 +342,6 @@ class RegistryDaemon:
                 conn.send_msg(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
                 return
             self._by_reflector[msg["reflector"]] = conn
-            record = self.supervisor.watch(msg["reflector"])
-            if record.state is HealthState.FAILED:
-                # A restarted reflector re-registering is the only way
-                # out of Failed in daemon mode.
-                self.supervisor.clear_failed(msg["reflector"])
             conn.send_msg(make_ack(True, epoch=epoch))
         elif kind == "deregister":
             try:
@@ -632,19 +627,19 @@ class ReflectorDaemon:
             self.engine.attach_client(client, conn)
             for room in hello.get("rooms", ()):
                 self.engine.join_room(client, room)
-            conn.on_data = partial(self._on_media, LocalClient(client))
+            conn.on_data = partial(self._on_media, NO_ID)
             conn.on_close = partial(self._drop_client, client)
         elif role == "peer":
             peer = hello["reflector"]
             self._peer_conns.setdefault(peer, conn)
-            conn.on_data = partial(self._on_media, Peer(peer))
+            conn.on_data = partial(self._on_media, peer)
             conn.on_close = partial(self._drop_peer, peer)
         else:
             conn.close()
             return
         conn.on_data(conn)  # frames that came with the hello
 
-    def _on_media(self, ingress, conn: _Conn) -> None:
+    def _on_media(self, from_peer: int, conn: _Conn) -> None:
         """Validate each whole frame, then relay its original bytes."""
         buf = conn.inbuf
         offset = 0
@@ -655,11 +650,13 @@ class ReflectorDaemon:
                 break
             frame = bytes(buf[offset:end])
             offset = end
-            for action in self.engine.forward(packet, ingress):
-                if isinstance(action, DeliverLocal):
-                    dest = self.engine.endpoint(action.client)
-                else:
-                    dest = self._peer_conn(action.reflector)
+            clients, peers = self.engine.forward(packet, from_peer)
+            for client in clients:
+                dest = self.engine.endpoint(client)
+                if dest is not None:
+                    dest.send(frame)
+            for peer in peers:
+                dest = self._peer_conn(peer)
                 if dest is not None:
                     dest.send(frame)
         del buf[:offset]
@@ -669,7 +666,7 @@ class ReflectorDaemon:
         if conn is not None or peer not in self.peers:
             return conn
         conn = self._peer_conns[peer] = self._connect(
-            self.peers[peer], partial(self._on_media, Peer(peer)), partial(self._drop_peer, peer))
+            self.peers[peer], partial(self._on_media, peer), partial(self._drop_peer, peer))
         conn.send_msg(make_hello_peer(self.config.reflector_id))
         return conn
 

@@ -12,6 +12,7 @@ probe_reply, hello.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .errors import SchemaError
@@ -44,6 +45,42 @@ EVENT_FIELDS = {
     "notification": ("reflector", "reason", "at", "recipients"),
 }
 
+# The JSON type of every top-level field, required or optional, checked
+# wherever it appears: (description, test). Ids and epochs are integers,
+# never booleans; json.loads gives exact built-in types, so `type() is` works.
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
+_STRING = ("a string", lambda v: type(v) is str)
+_INTEGERS = ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v))
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
+FIELD_TYPES = {
+    "reflector": _INTEGER,
+    "client": _INTEGER,
+    "epoch": _INTEGER,
+    "at": _NUMBER,
+    "value": _NUMBER,
+    "min_interval_ms": _NUMBER,
+    "address": _STRING,
+    "region": _STRING,
+    "filter": _STRING,
+    "event": _STRING,
+    "name": _STRING,
+    "reason": _STRING,
+    "role": _STRING,
+    "error": _STRING,
+    "rooms": _INTEGERS,
+    "reflectors": _INTEGERS,
+    "tree_neighbors": _INTEGERS,
+    "recipients": _STRINGS,
+    "ok": ("a boolean", lambda v: type(v) is bool),
+    "snapshot": ("an object", lambda v: type(v) is dict),
+    "room_egress": (
+        "an object of integer lists keyed by room id",
+        lambda v: type(v) is dict
+        and all(room.isdecimal() and _INTEGERS[1](peers) for room, peers in v.items()),
+    ),
+}
+
 
 def encode_message(msg: dict) -> str:
     """One canonical protocol line (newline included)."""
@@ -61,17 +98,20 @@ def decode_message(line: str) -> dict:
     if msg.get("v") != PROTOCOL_VERSION:
         raise SchemaError("field v: expected %d, got %r" % (PROTOCOL_VERSION, msg.get("v")))
     kind = msg.get("kind")
-    if kind not in KIND_FIELDS:
-        raise SchemaError("field kind: unknown message kind %r" % kind)
+    if type(kind) is not str or kind not in KIND_FIELDS:
+        raise SchemaError("field kind: unknown message kind %r" % (kind,))
     for name in KIND_FIELDS[kind]:
         if name not in msg:
             raise SchemaError("field %s: required for kind %r" % (name, kind))
+    for name, value in msg.items():
+        expected, valid = FIELD_TYPES.get(name, (None, None))
+        if valid is not None and not valid(value):
+            raise SchemaError(
+                "field %s: expected %s, got %s" % (name, expected, type(value).__name__))
     if kind == "event":
-        event = msg["event"]
-        if event in EVENT_FIELDS:
-            for name in EVENT_FIELDS[event]:
-                if name not in msg:
-                    raise SchemaError("field %s: required for event %r" % (name, event))
+        for name in EVENT_FIELDS.get(msg["event"], ()):
+            if name not in msg:
+                raise SchemaError("field %s: required for event %r" % (name, msg["event"]))
     return msg
 
 

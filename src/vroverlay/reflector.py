@@ -6,49 +6,24 @@ by the global optimizer. Forwarding never loops and never echoes a packet
 back to its origin client or its ingress peer; loop freedom across the
 overlay comes from the tree discipline of the installed routes.
 
-forward() reads the routing table through a single reference so that a
-packet observes either entirely the old or entirely the new table across an
-epoch swap, never a mixture. Membership and chair mutations are expected to
-be serialized by the caller; the reflector daemon makes every engine call
-from its one loop thread, so callers are serialized by construction.
+forward() takes a packet and the id of the peer it came from (NO_ID for a
+packet from a local client) and returns two ascending id lists: the local
+clients to deliver to and the peers to send to. It reads the routing table
+through a single reference, so each hop uses one whole table. That holds
+per hop only: an epoch swap between two hops can route one packet under the
+old table at one reflector and the new table at the next. Membership and
+chair mutations are expected to be serialized by the caller; the reflector
+daemon makes every engine call from its one loop thread, so callers are
+serialized by construction.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .errors import NotAMember, StaleEpoch, UnknownClient, UnknownRoom
-from .model import ClientId, MediaPacket, PayloadType, ReflectorId, RoomId
+from .model import NO_ID, ClientId, MediaPacket, PayloadType, ReflectorId, RoomId
 from .wire import HEADER_SIZE
-
-
-# --- ingress / egress descriptors ---
-
-@dataclass(frozen=True)
-class LocalClient:
-    """Packet entered from a client homed on this reflector."""
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class Peer:
-    """Packet entered from a peer reflector."""
-    reflector: ReflectorId
-
-
-@dataclass(frozen=True)
-class DeliverLocal:
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class SendPeer:
-    reflector: ReflectorId
-
-
-Ingress = LocalClient | Peer
-Egress = DeliverLocal | SendPeer
 
 
 # --- chair controls ---
@@ -114,11 +89,6 @@ class RoutingTable:
 EMPTY_ROUTING = RoutingTable(epoch=0)
 
 
-class JoinResult(enum.Enum):
-    JOINED = "joined"
-    ALREADY_JOINED = "already_joined"
-
-
 @dataclass
 class ForwardCounters:
     packets_in: int = 0
@@ -160,16 +130,14 @@ class ReflectorEngine:
     def endpoint(self, client: ClientId):
         return self._clients.get(client)
 
-    def join_room(self, client: ClientId, room: RoomId) -> JoinResult:
-        """Add a connected client to a room; idempotent on repeat joins."""
+    def join_room(self, client: ClientId, room: RoomId) -> None:
+        """Add a connected client to a room; a repeat join changes nothing."""
         if client not in self._clients:
             raise UnknownClient("client %d is not connected to reflector %d" % (client, self.reflector_id))
         members = self._rooms.setdefault(room, set())
-        if client in members:
-            return JoinResult.ALREADY_JOINED
-        members.add(client)
-        self._membership_changed()
-        return JoinResult.JOINED
+        if client not in members:
+            members.add(client)
+            self._membership_changed()
 
     def leave_room(self, client: ClientId, room: RoomId) -> None:
         """Remove a client from a room; deletes empty rooms and repairs chair state."""
@@ -272,15 +240,16 @@ class ReflectorEngine:
 
     # --- forwarding ---
 
-    def forward(self, p: MediaPacket, ingress: Ingress) -> set:
-        """Compute egress actions for one packet.
+    def forward(self, p: MediaPacket, from_peer: ReflectorId = NO_ID) -> tuple:
+        """Destinations of one packet: (clients, peers), each an ascending id list.
 
-        Egress is the room's local members (minus the origin client, after
-        chair filtering) plus the pruned peer egress for the room (minus the
-        ingress peer). Packets for rooms this reflector knows nothing about
+        Clients are the room's local members minus the origin client
+        (``p.src``), after chair filtering; peers are the room's pruned peer
+        egress minus ``from_peer``, the ingress peer (NO_ID for a packet from
+        a local client). Packets for rooms this reflector knows nothing about
         are counted and dropped, not errored.
         """
-        routing = self._routing  # one read: a packet sees exactly one table
+        routing = self._routing  # one read: this hop sees exactly one table
         members = self._rooms.get(p.room)
         peer_egress = routing.room_egress.get(p.room)
         wire_bytes = HEADER_SIZE + len(p.payload)
@@ -288,20 +257,13 @@ class ReflectorEngine:
         self.counters.bytes_in += wire_bytes
         if members is None and peer_egress is None:
             self.counters.unknown_room_drops += 1
-            return set()
+            return [], []
         if self._chair_blocks(p):
             self.counters.chair_drops += 1
-            return set()
-        actions: set = set()
-        if members:
-            for client in members:
-                if client != p.src:
-                    actions.add(DeliverLocal(client))
-        if peer_egress:
-            exclude = ingress.reflector if isinstance(ingress, Peer) else None
-            for peer in peer_egress:
-                if peer != exclude:
-                    actions.add(SendPeer(peer))
-        self.counters.packets_out += len(actions)
-        self.counters.bytes_out += wire_bytes * len(actions)
-        return actions
+            return [], []
+        clients = sorted(c for c in members if c != p.src) if members else []
+        peers = sorted(r for r in peer_egress if r != from_peer) if peer_egress else []
+        sent = len(clients) + len(peers)
+        self.counters.packets_out += sent
+        self.counters.bytes_out += wire_bytes * sent
+        return clients, peers

@@ -30,17 +30,9 @@ from operator import itemgetter
 from ..config import OverlayConfig, apply_overrides
 from ..control import ControlPlane
 from ..errors import LinkDown, NotAMember, OverlayError, RegistryUnreachable, UnknownRoom
-from ..model import LinkStats, MediaPacket
+from ..model import NO_ID, LinkStats, MediaPacket
 from ..monitor import MetricCollector, MonitorService
-from ..reflector import (
-    DeliverLocal,
-    LocalClient,
-    MuteAudio,
-    MuteVideo,
-    Peer,
-    ReflectorEngine,
-    SelectSpeaker,
-)
+from ..reflector import MuteAudio, MuteVideo, ReflectorEngine, SelectSpeaker
 from ..registry import RegistryEntry
 from ..supervisor import NotificationEvent, ProbeResult, RestartCommand
 from ..wire import HEADER_SIZE
@@ -275,17 +267,17 @@ class OverlaySim:
             collector=MetricCollector(rid, load_sampler=_synthetic_load, started_at=register_at),
         )
         self.nodes[rid] = node
-        self.registry.register(
-            RegistryEntry(
-                reflector=rid,
-                control_address="sim://%d" % rid,
-                region=region,
-                registered_at=register_at,
-                last_heartbeat=register_at,
-            )
-        )
-        self.supervisor.watch(rid)
+        self._register(node, register_at)
         return node
+
+    def _register(self, node: SimNode, at: float) -> None:
+        self.control.register(RegistryEntry(
+            reflector=node.id,
+            control_address="sim://%d" % node.id,
+            region=node.region,
+            registered_at=at,
+            last_heartbeat=at,
+        ))
 
     def add_reflector(self, rid: int, region: str = "", link_to=None, **link_params) -> SimNode:
         """Bring a brand-new reflector into the running overlay."""
@@ -430,15 +422,7 @@ class OverlaySim:
         node.alive = True
         node.probe_garbage = False
         if not self.registry.is_live(node.id):
-            self.registry.register(
-                RegistryEntry(
-                    reflector=node.id,
-                    control_address="sim://%d" % node.id,
-                    region=node.region,
-                    registered_at=self.loop.now,
-                    last_heartbeat=self.loop.now,
-                )
-            )
+            self._register(node, self.loop.now)
         self._advertise(node.id)
         self._resync_routing(node.id)
 
@@ -536,7 +520,7 @@ class OverlaySim:
             self.room_clients[event.room] - {event.src}
         )
         self._trace("inject", room=event.room, src=event.src, seq=seq, reflector=home)
-        self._forward_at(node, packet, LocalClient(event.src), trail=(home,))
+        self._forward_at(node, packet, NO_ID, trail=(home,))
 
     def inject_packet(self, packet: MediaPacket, expected=None) -> None:
         """Drive one explicit packet from its origin client (test hook)."""
@@ -546,11 +530,11 @@ class OverlaySim:
         if expected is not None:
             self.expected_receivers[packet.key()] = frozenset(expected)
         self._trace("inject", room=packet.room, src=packet.src, seq=packet.seq, reflector=home)
-        self._forward_at(self.nodes[home], packet, LocalClient(packet.src), trail=(home,))
+        self._forward_at(self.nodes[home], packet, NO_ID, trail=(home,))
 
-    def _forward_at(self, node: SimNode, packet: MediaPacket, ingress, trail) -> None:
+    def _forward_at(self, node: SimNode, packet: MediaPacket, from_peer: int, trail) -> None:
         epoch = node.engine.routing.epoch
-        actions = node.engine.forward(packet, ingress)
+        clients, peers = node.engine.forward(packet, from_peer)
         self._trace(
             "forward",
             reflector=node.id,
@@ -558,16 +542,12 @@ class OverlaySim:
             src=packet.src,
             seq=packet.seq,
             epoch=epoch,
-            fanout=len(actions),
+            fanout=len(clients) + len(peers),
         )
-        for action in sorted(
-            actions,
-            key=lambda a: (0, a.client) if isinstance(a, DeliverLocal) else (1, a.reflector),
-        ):
-            if isinstance(action, DeliverLocal):
-                self._deliver_local(node, packet, action.client)
-            else:
-                self._send_peer(node, packet, action.reflector, trail)
+        for client in clients:
+            self._deliver_local(node, packet, client)
+        for peer in peers:
+            self._send_peer(node, packet, peer, trail)
 
     def _deliver_local(self, node: SimNode, packet: MediaPacket, client: int) -> None:
         counts = self.delivered_to.setdefault(packet.key(), {})
@@ -626,7 +606,7 @@ class OverlaySim:
                 % (packet.key(), rid, list(trail))
             )
             return
-        self._forward_at(node, packet, Peer(from_rid), trail + (rid,))
+        self._forward_at(node, packet, from_rid, trail + (rid,))
 
     # --- running and reporting ---
 

@@ -336,3 +336,19 @@ def test_reflector_bind_error_exit_three():
         assert result.returncode == 3
     finally:
         blocker.close()
+
+
+def test_daemon_imports_load_no_simulator_module():
+    # The daemons never run the simulator; `sim` subcommands import it when
+    # they run, which keeps it out of a daemon's memory. -S keeps installed
+    # packages out, so the modules come from this checkout's src/.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import vroverlay.cli, vroverlay.daemon\n"
+        "print(sorted(m for m in sys.modules if m.startswith('vroverlay.sim')))" % src
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

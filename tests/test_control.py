@@ -1,10 +1,12 @@
 """ControlPlane: the one control loop the simulator and the registry daemon share."""
 import socket
 
+import pytest
+
 from vroverlay.config import OverlayConfig, load_config
 from vroverlay.control import ControlPlane
 from vroverlay.daemon import RegistryDaemon
-from vroverlay.errors import RegistryUnreachable
+from vroverlay.errors import DuplicateId, RegistryUnreachable
 from vroverlay.model import LinkStats, link_key
 from vroverlay.protocol import decode_message, encode_message, make_snapshot_request
 from vroverlay.registry import RegistryEntry
@@ -17,8 +19,7 @@ def control_plane(transport):
     """Reflectors 1-3 in a triangle; (1, 2) is the cheapest link."""
     control = ControlPlane(OverlayConfig(), transport)
     for rid in (1, 2, 3):
-        control.registry.register(RegistryEntry(reflector=rid, control_address="fake://%d" % rid))
-        control.supervisor.watch(rid)
+        control.register(RegistryEntry(reflector=rid, control_address="fake://%d" % rid))
     for i, (a, b) in enumerate([(1, 2), (2, 3), (1, 3)]):
         control.observe_link(
             LinkStats(link=link_key(a, b), rtt_ms=10.0 * (i + 1), loss_fraction=0.0,
@@ -37,6 +38,21 @@ def test_failed_reflector_left_out_of_installed_tree():
     assert control.tree.edges == {(1, 2)}
     assert pushed == [1, 2]
     assert set(control.tables) == {1, 2}
+
+
+def test_registering_again_clears_failed():
+    control = control_plane(lambda rid, table: None)
+    assert set(control.supervisor.records) == {1, 2, 3}
+    while control.supervisor.records[3].state is not HealthState.FAILED:
+        control.supervisor.supervise_tick({3: ProbeResult.NO_ANSWER})
+    with pytest.raises(DuplicateId):
+        control.register(RegistryEntry(reflector=3, control_address="fake://3"))
+    assert control.supervisor.records[3].state is HealthState.FAILED
+    control.registry.expire(control.registry.liveness_timeout_ms + 1.0)  # its lease ran out
+    control.register(RegistryEntry(reflector=3, control_address="fake://3"))
+    assert control.registry.is_live(3)
+    assert control.supervisor.records[3].state is HealthState.UNRESPONSIVE
+    assert 3 in control.supervisor.probe_targets()
 
 
 def test_raising_transport_counts_failure_and_unreachable():

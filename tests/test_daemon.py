@@ -213,6 +213,39 @@ def test_closed_subscriber_leaves_no_subscription(registry):
         sub.close()
 
 
+def test_mistyped_fields_are_nacked_and_spare_the_uplinking_reflector(registry):
+    # A subscribe whose min_interval_ms is a string and a metric event whose
+    # at is a string, both matching series that reflector 6 uplinks. Had
+    # either been accepted, recording the reflector's next sample would
+    # raise and close its control connection.
+    other = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    try:
+        other.sendall(
+            b'{"filter":"vrvs.*","kind":"subscribe","min_interval_ms":"x","v":3}\n'
+            b'{"at":"x","event":"metric","kind":"event","name":"vrvs.rooms",'
+            b'"reflector":6,"v":3,"value":1.0}\n')
+        reader = other.makefile("r")
+        replies = [decode_message(reader.readline()) for _ in range(2)]
+        ref = reflector(registry, 6)
+        try:
+            store = registry.monitor.store
+            assert wait_for(lambda: min(store.series_length(6, "vrvs.clients"),
+                                        store.series_length(6, "vrvs.rooms")) >= 3)
+            assert type(store.head(6, "vrvs.rooms").at) is float
+            assert store.regressions == 0
+            assert not ref._control.closed
+            assert not registry._by_reflector[6].closed
+        finally:
+            ref.shutdown()
+        assert [(m["kind"], m["ok"]) for m in replies] == [("ack", False), ("ack", False)]
+        assert replies[0]["error"].startswith("SchemaError: field min_interval_ms: ")
+        assert replies[1]["error"].startswith("SchemaError: field at: ")
+        assert not registry._subscribers
+        reader.close()
+    finally:
+        other.close()
+
+
 @pytest.fixture
 def idle_registry():
     # Default intervals: no timer runs during a test, so a stalled loop

@@ -20,7 +20,7 @@ from vroverlay.monitor import (
     compile_pattern,
 )
 from vroverlay.quality import QualityFactor
-from vroverlay.reflector import LocalClient, ReflectorEngine
+from vroverlay.reflector import ReflectorEngine
 
 
 def sample(name="sys.load", value=1.0, at=0.0, reflector=1):
@@ -355,7 +355,7 @@ def test_collect_reports_unknown_room_drops():
     eng = engine_with_room()
     p = MediaPacket(room=99, src=5, seq=1, timestamp_ms=0,
                     payload_type=PayloadType.OPAQUE)
-    eng.forward(p, LocalClient(5))
+    eng.forward(p)
     collector = MetricCollector(1)
     by_name = {s.name: s for s in collector.collect(eng, now=1.0)}
     assert by_name["vrvs.unknown_room_drops"].value == 1.0
@@ -389,6 +389,6 @@ def test_collect_traffic_rate_from_byte_counters():
     for seq in range(1, 11):
         p = MediaPacket(room=7, src=9, seq=seq, timestamp_ms=0,
                         payload_type=PayloadType.OPAQUE, payload=payload)
-        eng.forward(p, LocalClient(9))
+        eng.forward(p)
     by_name = {s.name: s for s in collector.collect(eng, now=1000.0)}
     assert by_name["net.in_kbps"].value == pytest.approx(8.0, rel=0.01)

@@ -119,6 +119,42 @@ def test_decode_rejects_missing_required_field():
         decode_message('{"event":"metric","kind":"event","v":3}')
 
 
+@pytest.mark.parametrize("line, field", [
+    ('{"filter":"vrvs.*","kind":"subscribe","min_interval_ms":"x","v":3}', "min_interval_ms"),
+    ('{"filter":"vrvs.*","kind":"subscribe","reflectors":5,"v":3}', "reflectors"),
+    ('{"filter":"vrvs.*","kind":"subscribe","reflectors":[true],"v":3}', "reflectors"),
+    ('{"filter":7,"kind":"subscribe","v":3}', "filter"),
+    ('{"at":"x","event":"metric","kind":"event","name":"m","reflector":1,"v":3,"value":1.0}',
+     "at"),
+    ('{"at":1.0,"event":"metric","kind":"event","name":"m","reflector":1,"v":3,"value":NaN}',
+     "value"),
+    ('{"at":1.0,"event":"metric","kind":"event","name":"m","reflector":true,"v":3,"value":1}',
+     "reflector"),
+    ('{"at":1.0,"event":"notification","kind":"event","reason":"r","recipients":[1],'
+     '"reflector":1,"v":3}', "recipients"),
+    ('{"event":["metric"],"kind":"event","v":3}', "event"),
+    ('{"address":"a:1","kind":"register","reflector":1,"region":null,"v":3}', "region"),
+    ('{"at":1.0,"kind":"heartbeat","reflector":"1","v":3}', "reflector"),
+    ('{"kind":"advertise","reflector":1,"rooms":[1.5],"v":3}', "rooms"),
+    ('{"epoch":1.0,"kind":"install_routing","reflector":1,"room_egress":{},'
+     '"tree_neighbors":[],"v":3}', "epoch"),
+    ('{"epoch":1,"kind":"install_routing","reflector":1,"room_egress":{"x":[2]},'
+     '"tree_neighbors":[2],"v":3}', "room_egress"),
+    ('{"kind":"ack","ok":1,"v":3}', "ok"),
+    ('{"client":"7","kind":"hello","role":"client","rooms":[5],"v":3}', "client"),
+    ('{"client":7,"kind":"hello","role":"client","rooms":"5","v":3}', "rooms"),
+    ('{"kind":"hello","reflector":2.0,"role":"peer","v":3}', "reflector"),
+])
+def test_decode_rejects_wrong_field_type(line, field):
+    with pytest.raises(SchemaError, match="^field %s: expected " % field):
+        decode_message(line)
+
+
+def test_decode_rejects_unhashable_kind():
+    with pytest.raises(SchemaError, match="^field kind: "):
+        decode_message('{"kind":["probe"],"v":3}')
+
+
 def test_decode_rejects_non_json_and_non_object():
     with pytest.raises(SchemaError):
         decode_message("not json")

@@ -5,16 +5,11 @@ from vroverlay.errors import NotAMember, StaleEpoch, UnknownClient, UnknownRoom
 from vroverlay.model import MediaPacket, PayloadType
 from vroverlay.reflector import (
     ClearSpeaker,
-    DeliverLocal,
-    JoinResult,
-    LocalClient,
     MuteAudio,
     MuteVideo,
-    Peer,
     ReflectorEngine,
     RoutingTable,
     SelectSpeaker,
-    SendPeer,
     UnmuteAudio,
     UnmuteVideo,
 )
@@ -46,15 +41,18 @@ def routed(epoch, neighbors, egress):
 
 def test_join_creates_room():
     eng = engine_with_clients(1)
-    assert eng.join_room(1, ROOM) is JoinResult.JOINED
-    assert eng.room_members(ROOM) == frozenset({1})
-
-
-def test_join_is_idempotent_with_warning():
-    eng = engine_with_clients(1)
     eng.join_room(1, ROOM)
-    assert eng.join_room(1, ROOM) is JoinResult.ALREADY_JOINED
     assert eng.room_members(ROOM) == frozenset({1})
+
+
+def test_join_is_idempotent():
+    seen = []
+    eng = ReflectorEngine(R, on_membership_change=lambda rooms: seen.append(set(rooms)))
+    eng.attach_client(1)
+    eng.join_room(1, ROOM)
+    eng.join_room(1, ROOM)
+    assert eng.room_members(ROOM) == frozenset({1})
+    assert seen == [{ROOM}]  # the repeat join fires no membership callback
 
 
 def test_join_unknown_client():
@@ -121,8 +119,8 @@ def test_star_fanout_minus_sender():
     eng = engine_with_clients(1, 2, 3)
     for c in (1, 2, 3):
         eng.join_room(c, ROOM)
-    actions = eng.forward(packet(src=1), LocalClient(1))
-    assert actions == {DeliverLocal(2), DeliverLocal(3)}
+    actions = eng.forward(packet(src=1))
+    assert actions == ([2, 3], [])
 
 
 def test_forward_includes_pruned_peers_and_excludes_ingress_peer():
@@ -130,8 +128,8 @@ def test_forward_includes_pruned_peers_and_excludes_ingress_peer():
     eng.join_room(2, ROOM)
     eng.swap_routing_table(routed(1, {10, 30}, {ROOM: {10, 30}}))
     # Packet arrives from peer 10: local delivery plus peer 30 only.
-    actions = eng.forward(packet(src=1), Peer(10))
-    assert actions == {DeliverLocal(2), SendPeer(30)}
+    actions = eng.forward(packet(src=1), 10)
+    assert actions == ([2], [30])
 
 
 def test_forward_origin_client_never_receives_own_packet():
@@ -139,23 +137,23 @@ def test_forward_origin_client_never_receives_own_packet():
     eng.join_room(1, ROOM)
     eng.join_room(2, ROOM)
     eng.swap_routing_table(routed(1, {10}, {ROOM: {10}}))
-    actions = eng.forward(packet(src=1), LocalClient(1))
-    assert DeliverLocal(1) not in actions
-    assert actions == {DeliverLocal(2), SendPeer(10)}
+    actions = eng.forward(packet(src=1))
+    assert 1 not in actions[0]
+    assert actions == ([2], [10])
 
 
 def test_forward_unknown_room_counted_not_raised():
     eng = engine_with_clients(1)
-    actions = eng.forward(packet(src=1, room=99), LocalClient(1))
-    assert actions == set()
+    actions = eng.forward(packet(src=1, room=99))
+    assert actions == ([], [])
     assert eng.counters.unknown_room_drops == 1
 
 
 def test_forward_transit_without_local_members():
     eng = ReflectorEngine(R)
     eng.swap_routing_table(routed(1, {10, 30}, {ROOM: {10, 30}}))
-    actions = eng.forward(packet(src=5), Peer(10))
-    assert actions == {SendPeer(30)}
+    actions = eng.forward(packet(src=5), 10)
+    assert actions == ([], [30])
 
 
 def test_line_overlay_path_enumeration():
@@ -173,9 +171,9 @@ def test_line_overlay_path_enumeration():
         eng.swap_routing_table(routed(1, neighbors, {ROOM: egress}))
         engines[rid] = eng
     p = packet(src=1)
-    assert engines[1].forward(p, LocalClient(1)) == {SendPeer(2)}
-    assert engines[2].forward(p, Peer(1)) == {DeliverLocal(2), SendPeer(3)}
-    assert engines[3].forward(p, Peer(2)) == {DeliverLocal(3)}
+    assert engines[1].forward(p) == ([], [2])
+    assert engines[2].forward(p, 1) == ([2], [3])
+    assert engines[3].forward(p, 2) == ([3], [])
 
 
 # --- chair controls ---
@@ -185,10 +183,10 @@ def test_mute_audio_blocks_audio_not_video():
     for c in (1, 2, 3):
         eng.join_room(c, ROOM)
     eng.apply_chair_control(ROOM, MuteAudio(1))
-    audio = eng.forward(packet(src=1, ptype=PayloadType.AUDIO_G711U), LocalClient(1))
-    video = eng.forward(packet(src=1, ptype=PayloadType.VIDEO_H261), LocalClient(1))
-    assert audio == set()
-    assert video == {DeliverLocal(2), DeliverLocal(3)}
+    audio = eng.forward(packet(src=1, ptype=PayloadType.AUDIO_G711U))
+    video = eng.forward(packet(src=1, ptype=PayloadType.VIDEO_H261))
+    assert audio == ([], [])
+    assert video == ([2, 3], [])
     assert eng.counters.chair_drops == 1
 
 
@@ -197,12 +195,12 @@ def test_selected_speaker_filters_video_only():
     for c in (1, 2, 3):
         eng.join_room(c, ROOM)
     eng.apply_chair_control(ROOM, SelectSpeaker(2))
-    video_from_1 = eng.forward(packet(src=1, ptype=PayloadType.VIDEO_H261), LocalClient(1))
-    video_from_2 = eng.forward(packet(src=2, ptype=PayloadType.VIDEO_H261), LocalClient(2))
-    audio_from_1 = eng.forward(packet(src=1, ptype=PayloadType.AUDIO_G711U), LocalClient(1))
-    assert video_from_1 == set()
-    assert video_from_2 == {DeliverLocal(1), DeliverLocal(3)}
-    assert audio_from_1 == {DeliverLocal(2), DeliverLocal(3)}
+    video_from_1 = eng.forward(packet(src=1, ptype=PayloadType.VIDEO_H261))
+    video_from_2 = eng.forward(packet(src=2, ptype=PayloadType.VIDEO_H261))
+    audio_from_1 = eng.forward(packet(src=1, ptype=PayloadType.AUDIO_G711U))
+    assert video_from_1 == ([], [])
+    assert video_from_2 == ([1, 3], [])
+    assert audio_from_1 == ([2, 3], [])
 
 
 def test_mute_unmute_round_trip_restores_state():
@@ -264,16 +262,21 @@ def test_swap_same_content_new_epoch_keeps_behavior():
     eng.join_room(2, ROOM)
     table = {ROOM: {10}}
     eng.swap_routing_table(routed(1, {10}, table))
-    before = eng.forward(packet(src=1), Peer(10))
+    before = eng.forward(packet(src=1), 10)
     eng.swap_routing_table(routed(2, {10}, table))
-    after = eng.forward(packet(src=1), Peer(10))
+    after = eng.forward(packet(src=1), 10)
     assert before == after
 
 
 def test_egress_actions_distinct_across_types():
-    # DeliverLocal(5) and SendPeer(5) must coexist in one action set.
-    assert DeliverLocal(5) != SendPeer(5)
-    assert len({DeliverLocal(5), SendPeer(5)}) == 2
+    # Client ids and reflector ids are separate spaces: client 5 and peer 5
+    # are two destinations.
+    eng = engine_with_clients(1, 5)
+    eng.join_room(1, ROOM)
+    eng.join_room(5, ROOM)
+    eng.swap_routing_table(routed(1, {5}, {ROOM: {5}}))
+    assert eng.forward(packet(src=1)) == ([5], [5])
+    assert eng.counters.packets_out == 2
 
 
 def test_ingress_peer_never_in_egress_property():
@@ -286,6 +289,6 @@ def test_ingress_peer_never_in_egress_property():
         egress = frozenset(rng.sample(sorted(neighbors), k=rng.randrange(0, len(neighbors) + 1)))
         eng.swap_routing_table(routed(1, neighbors, {ROOM: egress}))
         ingress_peer = rng.choice(sorted(neighbors))
-        actions = eng.forward(packet(src=99), Peer(ingress_peer))
-        assert SendPeer(ingress_peer) not in actions
-        assert actions == {SendPeer(p) for p in egress if p != ingress_peer}
+        actions = eng.forward(packet(src=99), ingress_peer)
+        assert ingress_peer not in actions[1]
+        assert actions == ([], sorted(p for p in egress if p != ingress_peer))
