@@ -486,6 +486,7 @@ class ReflectorDaemon:
         self._probes: dict = {}             # peer id -> _Conn of the open probe round
         self._links: list = []              # LinkStats the open probe round measured
         self._control: Optional[_Conn] = None
+        self.src_mismatch_drops = 0         # client frames sent under another id
         self._loop = _Loop(final=self._goodbye)
 
     @property
@@ -627,20 +628,26 @@ class ReflectorDaemon:
             self.engine.attach_client(client, conn)
             for room in hello.get("rooms", ()):
                 self.engine.join_room(client, room)
-            conn.on_data = partial(self._on_media, NO_ID)
+            conn.on_data = partial(self._on_media, NO_ID, client)
             conn.on_close = partial(self._drop_client, client)
         elif role == "peer":
             peer = hello["reflector"]
             self._peer_conns.setdefault(peer, conn)
-            conn.on_data = partial(self._on_media, peer)
+            conn.on_data = partial(self._on_media, peer, None)
             conn.on_close = partial(self._drop_peer, peer)
         else:
             conn.close()
             return
         conn.on_data(conn)  # frames that came with the hello
 
-    def _on_media(self, from_peer: int, conn: _Conn) -> None:
-        """Validate each whole frame, then relay its original bytes."""
+    def _on_media(self, from_peer: int, sender: Optional[int], conn: _Conn) -> None:
+        """Validate each whole frame, then relay its original bytes.
+
+        A client connection may send only under the id it said hello with;
+        a frame with another `src` is dropped and counted in
+        `src_mismatch_drops`, and the connection stays open. Peer
+        connections (`sender` None) relay any `src`.
+        """
         buf = conn.inbuf
         offset = 0
         while len(buf) - offset >= HEADER_SIZE:
@@ -648,8 +655,11 @@ class ReflectorDaemon:
                 packet, end = read_media_packet(buf, offset)
             except Truncated:
                 break
-            frame = bytes(buf[offset:end])
-            offset = end
+            start, offset = offset, end
+            if sender is not None and packet.src != sender:
+                self.src_mismatch_drops += 1
+                continue
+            frame = bytes(buf[start:end])
             clients, peers = self.engine.forward(packet, from_peer)
             for client in clients:
                 dest = self.engine.endpoint(client)
@@ -666,7 +676,8 @@ class ReflectorDaemon:
         if conn is not None or peer not in self.peers:
             return conn
         conn = self._peer_conns[peer] = self._connect(
-            self.peers[peer], partial(self._on_media, peer), partial(self._drop_peer, peer))
+            self.peers[peer], partial(self._on_media, peer, None),
+            partial(self._drop_peer, peer))
         conn.send_msg(make_hello_peer(self.config.reflector_id))
         return conn
 

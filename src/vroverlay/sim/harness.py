@@ -17,13 +17,22 @@ seed) produce identical traces.
 Built-in invariant checks record violations instead of raising: routing
 loops (a packet revisiting a reflector), duplicate deliveries to one
 client, and any end-of-run expectations the scenario declares.
+
+The trace is encoded and hashed while the run goes: every 256 events
+become JSON lines (`json.dumps(event, sort_keys=True)` each), feed one
+running sha256 and are kept only as that text. `SimReport.trace` is a
+read-only sequence over the text that decodes each event when it is read;
+`trace_hash()` is the running digest and `write_trace` (`sim run --trace
+FILE`) writes the stored text, so the file hashes to the printed hash.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -76,7 +85,7 @@ class MediaCounters:
 # Exact types whose finite values `%r` prints as `json.dumps` does. Matching
 # `type(v)` exactly leaves out `bool`, `IntEnum` members and other subclasses.
 _REPR_IS_JSON = frozenset((int, float))
-_CHUNK_EVENTS = 256  # about 100 KiB of text at a time, so hashing adds no peak memory
+_CHUNK_EVENTS = 256  # events encoded at a time: about 28 KiB of text, one bytes object
 
 
 def _line_template(event: dict):
@@ -123,12 +132,68 @@ def _trace_line(event: dict, templates: dict) -> str:
     return json.dumps(event, sort_keys=True)
 
 
-def _trace_chunks(trace: list):
-    """The trace as JSON lines, each ending in a newline, `_CHUNK_EVENTS` lines per chunk."""
-    templates: dict = {}
-    for start in range(0, len(trace), _CHUNK_EVENTS):
-        chunk = trace[start:start + _CHUNK_EVENTS]
-        yield "\n".join([_trace_line(event, templates) for event in chunk]) + "\n"
+class _TraceLog(Sequence):
+    """The run's trace, kept only as the JSON-lines text that `write_trace` writes.
+
+    Events wait in a list until `_CHUNK_EVENTS` have come, then are encoded
+    with `_trace_line`, fed to a running sha256 and stored as one `bytes`
+    chunk, so no event dict outlives its chunk and the hash needs no second
+    pass. Reading (`len`, iteration, integer indexing) decodes lines with
+    `json.loads`; the encoder is exactly `json.dumps(sort_keys=True)`, so a
+    decoded event equals the traced one.
+    """
+
+    def __init__(self):
+        self._pending: list = []    # events not yet encoded
+        self._chunks: list = []     # bytes, one line per event
+        self._ends: list = []       # events in _chunks[:i + 1]
+        self._digest = hashlib.sha256()
+        self._templates: dict = {}
+
+    def append(self, event: dict) -> None:
+        pending = self._pending
+        pending.append(event)
+        if len(pending) == _CHUNK_EVENTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Encode, hash and store the events still waiting."""
+        if self._pending:
+            templates = self._templates
+            text = "\n".join([_trace_line(event, templates) for event in self._pending])
+            chunk = (text + "\n").encode()
+            self._digest.update(chunk)
+            self._chunks.append(chunk)
+            self._ends.append(len(self))
+            self._pending.clear()
+
+    def hexdigest(self) -> str:
+        self.flush()
+        return self._digest.hexdigest()
+
+    def write(self, fh) -> None:
+        self.flush()
+        for chunk in self._chunks:
+            fh.write(chunk.decode())
+
+    def __len__(self) -> int:
+        return (self._ends[-1] if self._ends else 0) + len(self._pending)
+
+    def __getitem__(self, index: int) -> dict:
+        self.flush()
+        size = len(self)
+        at = index + size if index < 0 else index
+        if not 0 <= at < size:
+            raise IndexError("trace index %d out of range" % index)
+        i = bisect_right(self._ends, at)
+        line = at - (self._ends[i - 1] if i else 0)
+        return json.loads(self._chunks[i].split(b"\n", line + 1)[line])
+
+    def __iter__(self):
+        self.flush()
+        for chunk in self._chunks:
+            for line in chunk.splitlines():
+                yield json.loads(line)
 
 
 @dataclass
@@ -146,21 +211,18 @@ class SimReport:
     routing_epochs: list
     notifications: list
     violations: list
-    trace: list
+    trace: _TraceLog
 
     def ok(self) -> bool:
         return not self.violations
 
     def trace_hash(self) -> str:
         """sha256 of the JSON-lines trace that `write_trace` writes."""
-        digest = hashlib.sha256()
-        for chunk in _trace_chunks(self.trace):
-            digest.update(chunk.encode())
-        return digest.hexdigest()
+        return self.trace.hexdigest()
 
     def write_trace(self, fh) -> None:
         """Write the trace to a text file, one `json.dumps(event, sort_keys=True)` per line."""
-        fh.writelines(_trace_chunks(self.trace))
+        self.trace.write(fh)
 
     def summary_lines(self) -> list:
         lines = [
@@ -203,7 +265,7 @@ class OverlaySim:
         self.monitoring = monitoring
         self.loop = EventLoop()
         self.net = SimNetwork(self.loop, scenario.seed)
-        self.trace: list = []
+        self.trace = _TraceLog()
         self.violations: list = []
         self.media = MediaCounters()
         self.isolated: set = set()
@@ -438,7 +500,8 @@ class OverlaySim:
             )
         elif isinstance(event, SetLink):
             self.net.set_link(event.a, event.b, **dict(event.params))
-            self._trace("set_link", a=event.a, b=event.b, params=sorted(event.params))
+            self._trace("set_link", a=event.a, b=event.b,
+                        params=[list(param) for param in sorted(event.params)])
         elif isinstance(event, InjectTraffic):
             for i in range(event.count):
                 at = event.t + i * event.interval_ms
@@ -613,6 +676,7 @@ class OverlaySim:
     def run(self) -> SimReport:
         self.loop.run_until(self.scenario.duration_ms)
         self._check_expectations()
+        self.trace.flush()
         sent = sum(c.sent for c in self.net.counters.values())
         delivered = sum(c.delivered for c in self.net.counters.values())
         lost = sum(c.lost for c in self.net.counters.values())

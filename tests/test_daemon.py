@@ -580,3 +580,25 @@ def test_closing_a_replaced_client_connection_keeps_the_new_one(registry):
         sender.close()
     finally:
         ref.shutdown()
+
+
+def test_client_frame_under_another_id_is_dropped_and_counted(registry):
+    ref = reflector(registry, 5)
+    try:
+        c7 = client_socket(ref.port, 7, [5])
+        c8 = client_socket(ref.port, 8, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 2)
+        spoofed = MediaPacket(room=5, src=8, seq=1, timestamp_ms=1,
+                              payload_type=PayloadType.AUDIO_G711U, payload=b"not mine")
+        own = MediaPacket(room=5, src=7, seq=1, timestamp_ms=2,
+                          payload_type=PayloadType.AUDIO_G711U, payload=b"mine")
+        c7.sendall(encode_media_packet(spoofed))
+        # The connection stays open: a frame under its own id still goes out.
+        c7.sendall(encode_media_packet(own))
+        assert recv_frames(c8, 2, bytearray(), timeout=1.0) == [own]
+        assert recv_frames(c7, 1, bytearray(), timeout=0.5) == []
+        assert ref.src_mismatch_drops == 1
+        c7.close()
+        c8.close()
+    finally:
+        ref.shutdown()

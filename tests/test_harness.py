@@ -1,8 +1,11 @@
 """End-to-end overlay behavior on the discrete-event harness."""
+import gc
 import hashlib
+import importlib.util
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +15,7 @@ from vroverlay.cli import main
 from vroverlay.model import MediaPacket, PayloadType
 from vroverlay.reflector import MuteAudio, SelectSpeaker
 from vroverlay.sim import OverlaySim, load_scenario, load_scenario_file
-from vroverlay.sim.harness import _trace_line
+from vroverlay.sim.harness import _CHUNK_EVENTS, _trace_line
 from vroverlay.supervisor import HealthState
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -116,6 +119,79 @@ def test_sim_run_trace_file_hashes_to_the_printed_trace_hash(tmp_path, capsys):
         printed = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("trace hash: ")]
         assert printed == ["trace hash: %s" % hashlib.sha256(out_path.read_bytes()).hexdigest()]
+
+
+# --- the trace as a read-only view over its text ---
+
+def check_trace_view(trace, path):
+    """`trace` reads back exactly the lines written to `path`."""
+    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert len(trace) == len(events) > 0
+    assert list(trace) == events
+    assert trace[0] == events[0]
+    assert trace[-1] == events[-1]
+    for i in sorted({len(events) // 2, _CHUNK_EVENTS - 1, _CHUNK_EVENTS, _CHUNK_EVENTS + 1}):
+        if i < len(events):
+            assert trace[i] == events[i] == trace[i - len(events)]
+    for i in (len(events), -len(events) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+
+
+def write_trace_file(report, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        report.write_trace(fh)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_report_trace_reads_back_the_written_file(tmp_path):
+    for name in BUNDLED_TRACE_HASHES:
+        report = OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "%s.json" % name))).run()
+        first = report.trace_hash()
+        path = tmp_path / ("%s.trace.jsonl" % name)
+        written = write_trace_file(report, path)
+        assert report.trace_hash() == first == written == BUNDLED_TRACE_HASHES[name], name
+        check_trace_view(report.trace, path)
+
+
+def test_trace_read_in_the_middle_of_a_chunk(tmp_path):
+    sim = OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "eu-us-backup.json")))
+    sim.loop.run_until(30_000)
+    assert len(sim.trace) % _CHUNK_EVENTS != 0  # some events still wait to be encoded
+    half = tmp_path / "half.trace.jsonl"
+    with open(half, "w", encoding="utf-8") as fh:
+        sim.trace.write(fh)
+    check_trace_view(sim.trace, half)
+    report = sim.run()
+    assert len(report.trace) % _CHUNK_EVENTS != 0
+    whole = tmp_path / "whole.trace.jsonl"
+    # Encoding a chunk early changes neither the text nor the hash.
+    assert write_trace_file(report, whole) == BUNDLED_TRACE_HASHES["eu-us-backup"]
+    assert report.trace_hash() == BUNDLED_TRACE_HASHES["eu-us-backup"]
+    check_trace_view(report.trace, whole)
+
+
+def test_finished_report_keeps_the_trace_as_text_not_events():
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "scenarios.py")
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    bench_scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_scenarios)
+    scenario = load_scenario(
+        bench_scenarios.media_scenario(1900, **bench_scenarios.MEDIA_SIZES["smoke"]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = OverlaySim(scenario)
+        report = sim.run()
+        del sim
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Kept as dicts, this run's 981 events cost about 300 bytes each (the dict,
+    # its float time and the list slot); as JSON lines they cost about 110,
+    # the text plus the rest of the report. 200 lies between the two.
+    assert retained / len(report.trace) < 200
 
 
 # --- trace line encoding ---
