@@ -9,7 +9,6 @@ tail (live metric stream). Exit codes are uniform across subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import socket
 import sys
@@ -18,9 +17,16 @@ from datetime import datetime, timezone
 from .config import load_config
 from .daemon import ReflectorDaemon, RegistryDaemon, parse_hostport
 from .errors import BadPattern, ConfigError, RegistryUnreachable, SchemaError
-from .export import load_snapshot_document, render_dot_dict, render_snapshot_dict
+from .export import load_snapshot, snapshot_to_dot, snapshot_to_json
 from .monitor import compile_pattern
-from .protocol import decode_message, encode_message, make_snapshot_request, make_subscribe
+from .protocol import (
+    decode_message,
+    encode_message,
+    make_snapshot_request,
+    make_subscribe,
+    snapshot_from_dict,
+)
+from .registry import TopologySnapshot
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -99,10 +105,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError, BadPattern) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except RegistryUnreachable as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONNECT
-    except OSError as exc:
+    except (RegistryUnreachable, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONNECT
     raise AssertionError("unhandled command")
@@ -158,26 +161,13 @@ def _run_reflector(args) -> int:
             return EXIT_OK  # terminated mid-startup: that is a clean shutdown
         if isinstance(exc, RegistryUnreachable):
             raise
-        if isinstance(exc, ConnectionError) or not _is_bind_error(exc, config.listen):
-            print("error: registry unreachable at %s: %s"
-                  % (config.registry_address, exc), file=sys.stderr)
-            return EXIT_CONNECT
+        # Registration types its own failures, so an OSError is the bind.
         print("error: cannot bind %s: %s" % (config.listen, exc), file=sys.stderr)
         return EXIT_BIND
     print("reflector %d listening on port %d" % (config.reflector_id, daemon.port), flush=True)
     daemon.run_forever()
     daemon.shutdown()
     return EXIT_OK
-
-
-def _is_bind_error(exc: OSError, listen: str) -> bool:
-    try:
-        host, port = parse_hostport(listen)
-    except ConfigError:
-        return False
-    import errno
-
-    return exc.errno in (errno.EADDRINUSE, errno.EACCES, errno.EADDRNOTAVAIL) and port != 0
 
 
 def _sim_run(args) -> int:
@@ -191,20 +181,16 @@ def _sim_run(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             report.write_trace(fh)
     if args.snapshot_out:
-        from .export import snapshot_to_json
-
-        snapshot = sim.registry.latest_snapshot
-        if snapshot is None:
-            snapshot = sim.registry.build_snapshot()
+        # The publish tick fires at t = 0, so every run has published one.
         with open(args.snapshot_out, "w", encoding="utf-8") as fh:
-            fh.write(snapshot_to_json(snapshot))
+            fh.write(snapshot_to_json(sim.registry.latest_snapshot))
     for line in report.summary_lines():
         print(line)
     print("trace hash: %s" % report.trace_hash())
     return EXIT_OK if report.ok() else EXIT_INVARIANT
 
 
-def _fetch_snapshot_document(address: str) -> dict:
+def _fetch_snapshot(address: str) -> TopologySnapshot:
     try:
         with socket.create_connection(parse_hostport(address), timeout=5.0) as sock:
             sock.sendall(encode_message(make_snapshot_request()).encode("utf-8"))
@@ -215,7 +201,7 @@ def _fetch_snapshot_document(address: str) -> dict:
                     raise RegistryUnreachable("registry closed the connection")
                 msg = decode_message(line)
                 if msg["kind"] == "snapshot":
-                    return msg["snapshot"]
+                    return snapshot_from_dict(msg.get("snapshot"))
     except OSError as exc:
         raise RegistryUnreachable("cannot reach registry at %s: %s" % (address, exc)) from exc
 
@@ -227,17 +213,12 @@ def _topo_export(args) -> int:
                 text = fh.read()
         except OSError as exc:
             raise SchemaError("cannot read snapshot %s: %s" % (args.snapshot, exc)) from exc
-        try:
-            doc = load_snapshot_document(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("snapshot is not valid JSON: %s" % exc.msg) from None
+        snapshot = load_snapshot(text)
     else:
         config = load_config(args.config)
-        doc = _fetch_snapshot_document(args.registry or config.registry_address)
-    if args.format == "json":
-        sys.stdout.write(render_snapshot_dict(doc))
-    else:
-        sys.stdout.write(render_dot_dict(doc))
+        snapshot = _fetch_snapshot(args.registry or config.registry_address)
+    render = snapshot_to_json if args.format == "json" else snapshot_to_dot
+    sys.stdout.write(render(snapshot))
     return EXIT_OK
 
 

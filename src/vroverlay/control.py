@@ -3,9 +3,11 @@
 One ControlPlane owns the registry, the supervisor, the per-link quality
 filters, the installed distribution tree and the last published routing
 tables. Callers feed it link measurements and call ``cycle`` on the
-optimizer period; how tables reach reflectors (the transport) is injected,
-so the same loop runs inside the deterministic simulator and against real
-sockets.
+optimizer period, which builds its graph from the registry alone: the live
+reflectors that are not Failed, and the link records, whose quality is the
+filter value ``observe_link`` stored. How tables reach reflectors (the
+transport) is injected, so the same loop runs inside the deterministic
+simulator and against real sockets.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ class ControlPlane:
             liveness_intervals=config.liveness_intervals,
         )
         self.supervisor = Supervisor(config.k_miss, recipients=config.admins)
-        self.filters: dict = {}  # link key -> QualityFactor
+        self.filters: dict = {}  # link key -> QualityFactor; outlives dropped links
         self.tree: Optional[TreeResult] = None
         self.tables: dict = {}   # reflector id -> last published RoutingTable
 
@@ -82,11 +84,9 @@ class ControlPlane:
         After an install, ``tree`` and ``tables`` hold what was installed.
         """
         self.registry.expire(now)
+        live = frozenset(e.reflector for e in self.registry.entries())
         graph = build_graph(
-            self.registry.build_snapshot(),
-            self.filters,
-            self.config.q_min,
-            exclude=self.supervisor.failed(),
+            live - self.supervisor.failed(), self.registry.links(), self.config.q_min
         )
         candidate = min_spanning_tree(graph)
         if (

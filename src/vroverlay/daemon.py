@@ -517,12 +517,13 @@ class ReflectorDaemon:
     # --- control plane ---
 
     def _register(self, address: str) -> None:
-        """Blocking register/ack exchange; the control socket then joins the loop."""
-        sock = socket.create_connection(parse_hostport(self.config.registry_address), timeout=5.0)
-        conn = self._control = _Conn(self._loop, sock, self._on_control,
-                                     limit=self.config.subscriber_queue)
-        sock.settimeout(5.0)
+        """Blocking register/ack exchange; any socket error is RegistryUnreachable."""
+        registry = self.config.registry_address
         try:
+            sock = socket.create_connection(parse_hostport(registry), timeout=5.0)
+            conn = self._control = _Conn(self._loop, sock, self._on_control,
+                                         limit=self.config.subscriber_queue)
+            sock.settimeout(5.0)
             conn.send_msg(make_register(self.config.reflector_id, address, self.config.region))
             while (line := _pop_line(conn.inbuf)) is None:
                 data = sock.recv(4096)
@@ -530,8 +531,8 @@ class ReflectorDaemon:
                     raise RegistryUnreachable("registry closed the connection")
                 conn.inbuf += data
             ack = decode_message(line)
-        except (socket.timeout, SchemaError) as exc:
-            raise RegistryUnreachable("no registration ack from registry: %s" % exc) from None
+        except (OSError, SchemaError) as exc:
+            raise RegistryUnreachable("registry unreachable at %s: %s" % (registry, exc)) from None
         sock.setblocking(False)
         if ack["kind"] != "ack" or not ack["ok"]:
             raise RegistryUnreachable(ack.get("error", "registration rejected"))

@@ -1,70 +1,58 @@
-"""Topology exports: Graphviz DOT and canonical JSON.
+"""Topology exports: Graphviz DOT and canonical JSON of a TopologySnapshot.
 
 The DOT view renders every live reflector as a node and every usable link
 as an edge: distribution-tree edges bold, edges carrying positive gateway
 flow dark and thick, everything else gray. Output ordering is fully
-deterministic (sorted ids), so exports are golden-file testable and a live
-registry and an equivalent snapshot file produce byte-identical documents.
+deterministic (sorted ids), so exports are golden-file testable. Snapshot
+documents are read only through ``protocol.snapshot_from_dict``, so a file
+and a live registry reply are checked the same way, and the same state
+renders to byte-identical documents from either.
 """
 from __future__ import annotations
 
 import json
 
+from .errors import SchemaError
 from .protocol import snapshot_from_dict, snapshot_to_dict
 from .registry import TopologySnapshot
 
 
 def snapshot_to_json(snapshot: TopologySnapshot) -> str:
-    return render_snapshot_dict(snapshot_to_dict(snapshot))
-
-
-def render_snapshot_dict(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(snapshot_to_dict(snapshot), indent=2, sort_keys=True) + "\n"
 
 
 def snapshot_to_dot(snapshot: TopologySnapshot) -> str:
-    doc = snapshot_to_dict(snapshot)
-    return render_dot_dict(doc)
-
-
-def render_dot_dict(doc: dict) -> str:
-    """DOT document from a snapshot dictionary (export or protocol form)."""
-    flow_edges = set()
-    flow = doc.get("flow")
-    if flow:
-        flow_edges = {tuple(e) for e in flow.get("edges", ())}
-    tree_edges = {tuple(e) for e in doc.get("tree_edges", ())}
-
+    flow_edges = snapshot.flow.edges if snapshot.flow is not None else frozenset()
     lines = ["graph overlay {"]
-    lines.append('  label="epoch %s";' % doc.get("epoch", 0))
+    lines.append('  label="epoch %d";' % snapshot.epoch)
     lines.append("  labelloc=t;")
     lines.append("  node [shape=ellipse];")
-    for entry in sorted(doc.get("reflectors", ()), key=lambda e: e["id"]):
-        rid = entry["id"]
-        region = entry.get("region", "")
-        label = "R%d (%s)" % (rid, region) if region else "R%d" % rid
+    for entry in sorted(snapshot.reflectors, key=lambda e: e.reflector):
+        rid = entry.reflector
+        label = "R%d (%s)" % (rid, entry.region) if entry.region else "R%d" % rid
         lines.append('  R%d [label="%s"];' % (rid, label))
-    for link in sorted(doc.get("links", ()), key=lambda l: (l["a"], l["b"])):
-        key = (link["a"], link["b"])
+    for record in sorted(snapshot.links, key=lambda r: r.stats.link):
+        key = record.stats.link
         attrs = []
-        if key in tree_edges:
+        if key in snapshot.tree_edges:
             attrs.append("style=bold")
         if key in flow_edges:
             attrs.append("color=black")
             attrs.append("penwidth=2")
-        if key not in tree_edges and key not in flow_edges:
+        if key not in snapshot.tree_edges and key not in flow_edges:
             attrs.append("color=gray")
-        attrs.append('label="q=%.3f"' % link["quality"])
+        attrs.append('label="q=%.3f"' % record.quality.q)
         lines.append("  R%d -- R%d [%s];" % (key[0], key[1], ", ".join(attrs)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def load_snapshot_document(text: str) -> dict:
-    """Snapshot dict from file contents (bare export or protocol envelope)."""
-    doc = json.loads(text)
+def load_snapshot(text: str) -> TopologySnapshot:
+    """The snapshot in a file's text: a bare export or a protocol envelope."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("snapshot is not valid JSON: %s" % exc.msg) from None
     if isinstance(doc, dict) and doc.get("kind") == "snapshot":
-        doc = doc["snapshot"]
-    # Round-trip through the typed form so malformed documents fail loudly.
-    snapshot_from_dict(doc)
-    return doc
+        doc = doc.get("snapshot")
+    return snapshot_from_dict(doc)

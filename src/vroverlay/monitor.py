@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
+import os
 import re
 import sys
 from collections import deque
@@ -252,11 +253,12 @@ class MetricCollector:
     """Derives one reflector's overlay metrics each monitoring tick.
 
     Traffic rates come from the engine's byte counters differenced over the
-    tick interval; system load comes from a pluggable sampler so simulated
-    runs stay deterministic.
+    tick interval; system load comes from a pluggable sampler, by default the
+    host's 1-minute load average, so simulated runs can stay deterministic.
     """
 
-    def __init__(self, reflector_id: ReflectorId, load_sampler=None, started_at: float = 0.0):
+    def __init__(self, reflector_id: ReflectorId,
+                 load_sampler=lambda rid, now: os.getloadavg()[0], started_at: float = 0.0):
         self.reflector_id = reflector_id
         self.load_sampler = load_sampler
         self._prev_at = started_at
@@ -289,7 +291,7 @@ class MetricCollector:
             self._prev_at = now
             self._prev_bytes_in = engine.counters.bytes_in
             self._prev_bytes_out = engine.counters.bytes_out
-        load = self.load_sampler(rid, now) if self.load_sampler is not None else 0.0
+        load = self.load_sampler(rid, now)
         samples.append(MetricSample(rid, "sys.load", float(load), now))
         for stats in sorted(links, key=lambda s: s.link):
             a, b = stats.link

@@ -1,4 +1,4 @@
-"""Global routing optimization over topology snapshots.
+"""Global routing optimization over the registry's reflectors and links.
 
 Builds a weighted graph from live reflectors and usable links (weight
 1 - q, capacity scaled by q), solves a minimum spanning tree for stream
@@ -7,7 +7,7 @@ capacity, gates rerouting behind a relative-improvement threshold, and
 derives per-room pruned routing tables from the installed tree.
 
 Everything here is a pure function over immutable inputs; ties are broken
-lexicographically so identical snapshots always produce identical results.
+lexicographically so identical inputs always produce identical results.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from typing import Iterable, Mapping
 
 from .errors import MemberOffTree, UnknownVertex
 from .model import LinkKey, ReflectorId, RoomId
-from .quality import DEFAULT_Q_MIN, LinkState, QualityFactor, classify_link
+from .quality import DEFAULT_Q_MIN, LinkState, classify_link
 from .reflector import RoutingTable
-from .registry import TopologySnapshot
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class WeightedGraph:
 
     vertices: frozenset
     edges: Mapping[LinkKey, EdgeAttrs]
-    built_from_epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,36 +79,31 @@ class Reroute(enum.Enum):
 
 
 def build_graph(
-    snapshot: TopologySnapshot,
-    quality: Mapping[LinkKey, QualityFactor] = None,
+    vertices: frozenset,
+    links: Iterable,
     q_min: float = DEFAULT_Q_MIN,
-    exclude: frozenset = frozenset(),
 ) -> WeightedGraph:
-    """Weighted graph of the snapshot's live reflectors and usable links.
+    """Weighted graph of the given reflectors and their usable links.
 
-    Edge weight is 1 - q and capacity is nominal capacity scaled by q, so
-    the tree prefers clean paths and flow reflects effective throughput.
-    Links classified Down (q strictly below q_min) are excluded. The
-    ``quality`` map overrides the snapshot's own per-link quality when given.
-    Reflectors in ``exclude`` (e.g. supervisor-Failed ones) are left out
-    along with their links.
+    ``links`` are the registry's link records (latest stats plus smoothed
+    quality). Edge weight is 1 - q and capacity is nominal capacity scaled
+    by q, so the tree prefers clean paths and flow reflects effective
+    throughput. Links classified Down (q strictly below q_min) are left out,
+    and so are links with an endpoint outside ``vertices``.
     """
-    live = snapshot.live_ids() - exclude
     edges: dict = {}
-    for record in snapshot.links:
+    for record in links:
         key = record.stats.link
-        if key[0] not in live or key[1] not in live:
+        if key[0] not in vertices or key[1] not in vertices:
             continue
         qf = record.quality
-        if quality is not None:
-            qf = quality.get(key, qf)
-        if qf is None or classify_link(qf, q_min) is LinkState.DOWN:
+        if classify_link(qf, q_min) is LinkState.DOWN:
             continue
         edges[key] = EdgeAttrs(
             weight=1.0 - qf.q,
             capacity=record.stats.capacity_kbps * qf.q,
         )
-    return WeightedGraph(vertices=live, edges=edges, built_from_epoch=snapshot.epoch)
+    return WeightedGraph(vertices=frozenset(vertices), edges=edges)
 
 
 class _UnionFind:

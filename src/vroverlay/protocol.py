@@ -48,11 +48,21 @@ EVENT_FIELDS = {
 # The JSON type of every top-level field, required or optional, checked
 # wherever it appears: (description, test). Ids and epochs are integers,
 # never booleans; json.loads gives exact built-in types, so `type() is` works.
+# Snapshot documents are checked with the same predicates (snapshot_from_dict).
 _INTEGER = ("an integer", lambda v: type(v) is int)
 _NUMBER = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
 _STRING = ("a string", lambda v: type(v) is str)
 _INTEGERS = ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v))
 _STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
+_ROOM_LISTS = (
+    "an object of integer lists keyed by room id",
+    lambda v: type(v) is dict
+    and all(room.isdecimal() and _INTEGERS[1](ids) for room, ids in v.items()),
+)
+_OBJECTS = ("a list of objects", lambda v: type(v) is list and all(type(x) is dict for x in v))
+_EDGES = ("a list of integer pairs",
+          lambda v: type(v) is list and all(_INTEGERS[1](e) and len(e) == 2 for e in v))
+_OBJECT_OR_NULL = ("an object or null", lambda v: v is None or type(v) is dict)
 FIELD_TYPES = {
     "reflector": _INTEGER,
     "client": _INTEGER,
@@ -74,12 +84,23 @@ FIELD_TYPES = {
     "recipients": _STRINGS,
     "ok": ("a boolean", lambda v: type(v) is bool),
     "snapshot": ("an object", lambda v: type(v) is dict),
-    "room_egress": (
-        "an object of integer lists keyed by room id",
-        lambda v: type(v) is dict
-        and all(room.isdecimal() and _INTEGERS[1](peers) for room, peers in v.items()),
-    ),
+    "room_egress": _ROOM_LISTS,
 }
+_REQUIRED = object()
+
+
+def _field(doc: dict, where: str, name: str, kind: tuple, default=_REQUIRED):
+    """``doc[name]`` checked against ``kind``; ``default`` when it is absent."""
+    if name not in doc:
+        if default is _REQUIRED:
+            raise SchemaError("field %s%s: required" % (where, name))
+        return default
+    expected, valid = kind
+    value = doc[name]
+    if not valid(value):
+        raise SchemaError("field %s%s: expected %s, got %s"
+                          % (where, name, expected, type(value).__name__))
+    return value
 
 
 def encode_message(msg: dict) -> str:
@@ -103,11 +124,9 @@ def decode_message(line: str) -> dict:
     for name in KIND_FIELDS[kind]:
         if name not in msg:
             raise SchemaError("field %s: required for kind %r" % (name, kind))
-    for name, value in msg.items():
-        expected, valid = FIELD_TYPES.get(name, (None, None))
-        if valid is not None and not valid(value):
-            raise SchemaError(
-                "field %s: expected %s, got %s" % (name, expected, type(value).__name__))
+    for name in msg:
+        if name in FIELD_TYPES:
+            _field(msg, "", name, FIELD_TYPES[name])
     if kind == "event":
         for name in EVENT_FIELDS.get(msg["event"], ()):
             if name not in msg:
@@ -266,49 +285,56 @@ def snapshot_to_dict(snapshot: TopologySnapshot) -> dict:
 
 
 def snapshot_from_dict(doc: dict) -> TopologySnapshot:
-    try:
-        reflectors = tuple(
-            RegistryEntry(
-                reflector=e["id"],
-                control_address=e["address"],
-                region=e.get("region", ""),
-                registered_at=e.get("registered_at", 0.0),
-                last_heartbeat=e.get("last_heartbeat", 0.0),
+    """The typed snapshot of a document; each field's JSON type is checked.
+
+    A missing or mistyped field raises SchemaError naming it, e.g.
+    ``field reflectors[0].id: expected an integer, got str``.
+    """
+    if type(doc) is not dict:
+        raise SchemaError("snapshot: expected an object, got %s" % type(doc).__name__)
+    reflectors = []
+    for i, e in enumerate(_field(doc, "", "reflectors", _OBJECTS)):
+        where = "reflectors[%d]." % i
+        reflectors.append(RegistryEntry(
+            reflector=_field(e, where, "id", _INTEGER),
+            control_address=_field(e, where, "address", _STRING),
+            region=_field(e, where, "region", _STRING, ""),
+            registered_at=_field(e, where, "registered_at", _NUMBER, 0.0),
+            last_heartbeat=_field(e, where, "last_heartbeat", _NUMBER, 0.0),
+        ))
+    links = []
+    for i, l in enumerate(_field(doc, "", "links", _OBJECTS, [])):
+        where = "links[%d]." % i
+        key = (_field(l, where, "a", _INTEGER), _field(l, where, "b", _INTEGER))
+        try:
+            stats = LinkStats(
+                link=key,
+                rtt_ms=_field(l, where, "rtt_ms", _NUMBER),
+                loss_fraction=_field(l, where, "loss", _NUMBER),
+                capacity_kbps=_field(l, where, "capacity_kbps", _NUMBER),
+                sampled_at=_field(l, where, "sampled_at", _NUMBER, 0.0),
             )
-            for e in doc["reflectors"]
+        except ValueError as exc:
+            raise SchemaError("field links[%d]: %s" % (i, exc)) from None
+        quality = QualityFactor(link=key, q=_field(l, where, "quality", _NUMBER))
+        links.append(LinkRecord(stats=stats, quality=quality))
+    flow_doc = _field(doc, "", "flow", _OBJECT_OR_NULL, None)
+    flow = None
+    if flow_doc is not None:
+        flow = FlowSummary(
+            source=_field(flow_doc, "flow.", "source", _INTEGER),
+            sink=_field(flow_doc, "flow.", "sink", _INTEGER),
+            value=_field(flow_doc, "flow.", "value", _NUMBER),
+            edges=frozenset(tuple(e) for e in _field(flow_doc, "flow.", "edges", _EDGES, [])),
         )
-        links = tuple(
-            LinkRecord(
-                stats=LinkStats(
-                    link=(l["a"], l["b"]),
-                    rtt_ms=l["rtt_ms"],
-                    loss_fraction=l["loss"],
-                    capacity_kbps=l["capacity_kbps"],
-                    sampled_at=l.get("sampled_at", 0.0),
-                ),
-                quality=QualityFactor(link=(l["a"], l["b"]), q=l["quality"]),
-            )
-            for l in doc.get("links", ())
-        )
-        flow_doc = doc.get("flow")
-        flow = None
-        if flow_doc is not None:
-            flow = FlowSummary(
-                source=flow_doc["source"],
-                sink=flow_doc["sink"],
-                value=flow_doc["value"],
-                edges=frozenset(tuple(e) for e in flow_doc.get("edges", ())),
-            )
-        return TopologySnapshot(
-            epoch=doc["epoch"],
-            reflectors=reflectors,
-            links=links,
-            tree_edges=frozenset(tuple(e) for e in doc.get("tree_edges", ())),
-            room_members={
-                int(room): frozenset(members)
-                for room, members in doc.get("room_members", {}).items()
-            },
-            flow=flow,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("malformed snapshot document: %s" % exc) from None
+    return TopologySnapshot(
+        epoch=_field(doc, "", "epoch", _INTEGER),
+        reflectors=tuple(reflectors),
+        links=tuple(links),
+        tree_edges=frozenset(tuple(e) for e in _field(doc, "", "tree_edges", _EDGES, [])),
+        room_members={
+            int(room): frozenset(members)
+            for room, members in _field(doc, "", "room_members", _ROOM_LISTS, {}).items()
+        },
+        flow=flow,
+    )

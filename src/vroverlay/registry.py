@@ -66,9 +66,6 @@ class TopologySnapshot:
     room_members: Mapping[RoomId, frozenset]
     flow: Optional[FlowSummary] = None
 
-    def live_ids(self) -> frozenset:
-        return frozenset(e.reflector for e in self.reflectors)
-
 
 @dataclass
 class DeliveryReport:

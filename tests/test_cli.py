@@ -5,6 +5,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -18,8 +19,11 @@ from vroverlay.cli import (
 )
 from vroverlay.config import load_config
 from vroverlay.daemon import RegistryDaemon, ReflectorDaemon
-from vroverlay.protocol import encode_message, make_metric_event, make_register
+from vroverlay.model import LinkStats
 from vroverlay.monitor import MetricSample
+from vroverlay.protocol import encode_message, make_metric_event, make_register, snapshot_to_dict
+from vroverlay.quality import QualityFactor
+from vroverlay.registry import LinkRecord, RegistryEntry, TopologySnapshot
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 FAST = {
@@ -185,10 +189,64 @@ def test_topo_export_unreachable_registry_exit_four(capsys):
     assert code == EXIT_CONNECT
 
 
+def snapshot_document():
+    """A valid two-reflector snapshot document."""
+    return snapshot_to_dict(TopologySnapshot(
+        epoch=4,
+        reflectors=(RegistryEntry(1, "10.0.0.1:7000", "EU"), RegistryEntry(2, "10.0.0.2:7000")),
+        links=(LinkRecord(LinkStats((1, 2), 20.0, 0.0, 1000.0, 0.0),
+                          QualityFactor(link=(1, 2), q=0.9)),),
+        tree_edges=frozenset({(1, 2)}),
+        room_members={},
+    ))
+
+
+def mistyped(field):
+    """The snapshot document with reflectors[0].id or links[0].quality mistyped."""
+    doc = snapshot_document()
+    if field == "reflectors[0].id":
+        doc["reflectors"][0]["id"] = "x"
+    else:
+        doc["links"][0]["quality"] = "q"
+    return doc
+
+
 def test_topo_export_bad_snapshot_file_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["topo", "export", "--snapshot", str(path)]) == EXIT_INPUT
+    for field in ("reflectors[0].id", "links[0].quality"):
+        path.write_text(json.dumps(mistyped(field)))
+        capsys.readouterr()
+        for fmt in ("dot", "json"):
+            assert main(["topo", "export", "--format", fmt, "--snapshot", str(path)]) == EXIT_INPUT
+            assert "error: field %s: " % field in capsys.readouterr().err
+
+
+def test_topo_export_mistyped_live_snapshot_exit_two(capsys):
+    # A one-shot registry answers the snapshot request with a mistyped document.
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+
+    def answer_once():
+        conn, _ = server.accept()
+        with conn:
+            conn.makefile("r").readline()
+            reply = {"v": 3, "kind": "snapshot", "epoch": 4,
+                     "snapshot": mistyped("reflectors[0].id")}
+            conn.sendall(encode_message(reply).encode("utf-8"))
+
+    thread = threading.Thread(target=answer_once, daemon=True)
+    thread.start()
+    try:
+        code = main(["topo", "export", "--registry", "127.0.0.1:%d" % server.getsockname()[1]])
+    finally:
+        thread.join(timeout=5)
+        server.close()
+    assert not thread.is_alive()
+    assert code == EXIT_INPUT
+    assert "error: field reflectors[0].id: expected an integer, got str" in capsys.readouterr().err
 
 
 # --- metrics tail ---
@@ -329,11 +387,14 @@ def test_reflector_bind_error_exit_three():
     blocker.listen(1)
     port = blocker.getsockname()[1]
     try:
-        # Listener binds before the registry is dialed, so the bind error wins.
-        result = run_cli("run-reflector", "--id", "1",
-                         "--registry", "127.0.0.1:1",
-                         "--listen", "127.0.0.1:%d" % port)
-        assert result.returncode == 3
+        # Listener binds before the registry is dialed, so the bind error wins:
+        # a port in use, and an address of no local interface (TEST-NET-1).
+        for listen in ("127.0.0.1:%d" % port, "192.0.2.1:0"):
+            result = run_cli("run-reflector", "--id", "1",
+                             "--registry", "127.0.0.1:1",
+                             "--listen", listen)
+            assert result.returncode == 3, result.stderr
+            assert "cannot bind %s" % listen in result.stderr
     finally:
         blocker.close()
 

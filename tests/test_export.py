@@ -3,13 +3,7 @@ import json
 
 import pytest
 
-from vroverlay.export import (
-    load_snapshot_document,
-    render_dot_dict,
-    render_snapshot_dict,
-    snapshot_to_dot,
-    snapshot_to_json,
-)
+from vroverlay.export import load_snapshot, snapshot_to_dot, snapshot_to_json
 from vroverlay.errors import SchemaError
 from vroverlay.model import LinkStats
 from vroverlay.optimizer import EdgeAttrs, WeightedGraph, max_flow
@@ -112,9 +106,9 @@ def test_json_export_round_trips_via_loader():
         flow=FlowSummary(source=1, sink=2, value=950.0, edges=frozenset({(1, 2)})),
     )
     text = snapshot_to_json(snap)
-    doc = load_snapshot_document(text)
-    assert render_snapshot_dict(doc) == text
-    assert render_dot_dict(doc) == snapshot_to_dot(snap)
+    back = load_snapshot(text)
+    assert snapshot_to_json(back) == text
+    assert snapshot_to_dot(back) == snapshot_to_dot(snap)
 
 
 def test_offline_export_accepts_protocol_envelope():
@@ -123,10 +117,11 @@ def test_offline_export_accepts_protocol_envelope():
     )
     envelope = json.dumps({"v": 3, "kind": "snapshot", "epoch": 2,
                            "snapshot": snapshot_to_dict(snap)})
-    doc = load_snapshot_document(envelope)
-    assert doc["epoch"] == 2
+    back = load_snapshot(envelope)
+    assert back.epoch == 2
+    assert snapshot_to_json(back) == snapshot_to_json(snap)
 
 
 def test_loader_rejects_malformed_document():
     with pytest.raises(SchemaError):
-        load_snapshot_document('{"epoch": 1}')
+        load_snapshot('{"epoch": 1}')

@@ -344,6 +344,12 @@ def test_collect_counts_clients_and_rooms():
     assert "sys.load" in by_name
 
 
+def test_collect_samples_host_load_by_default(monkeypatch):
+    monkeypatch.setattr("os.getloadavg", lambda: (2.5, 0.0, 0.0))
+    by_name = {s.name: s for s in MetricCollector(1).collect(engine_with_room(), now=1.0)}
+    assert by_name["sys.load"].value == 2.5
+
+
 def test_collect_no_peers_no_peer_samples():
     eng = engine_with_room()
     collector = MetricCollector(1)

@@ -23,7 +23,7 @@ from vroverlay.optimizer import (
 )
 from vroverlay.quality import QualityFactor
 from vroverlay.reflector import RoutingTable
-from vroverlay.registry import LinkRecord, RegistryEntry, TopologySnapshot
+from vroverlay.registry import LinkRecord
 
 
 def graph_of(vertices, edges):
@@ -225,61 +225,45 @@ def test_flow_matches_brute_force_cut_oracle():
 
 # --- graph construction ---
 
-def entry(rid):
-    return RegistryEntry(reflector=rid, control_address="sim://%d" % rid)
-
-
-def snapshot_with_links(link_specs):
-    records = []
-    vertices = set()
-    for (a, b), (q, cap) in link_specs.items():
-        vertices.update((a, b))
-        records.append(
-            LinkRecord(
-                stats=LinkStats((a, b), rtt_ms=10.0, loss_fraction=0.0,
-                                capacity_kbps=cap, sampled_at=0.0),
-                quality=QualityFactor(link=(a, b), q=q, sample_count=1),
-            )
+def link_records(link_specs):
+    return [
+        LinkRecord(
+            stats=LinkStats((a, b), rtt_ms=10.0, loss_fraction=0.0,
+                            capacity_kbps=cap, sampled_at=0.0),
+            quality=QualityFactor(link=(a, b), q=q, sample_count=1),
         )
-    return TopologySnapshot(
-        epoch=7,
-        reflectors=tuple(entry(r) for r in sorted(vertices)),
-        links=tuple(records),
-        tree_edges=frozenset(),
-        room_members={},
-    )
+        for (a, b), (q, cap) in link_specs.items()
+    ]
 
 
 def test_build_graph_perfect_link():
-    snap = snapshot_with_links({(1, 2): (1.0, 1000.0)})
-    g = build_graph(snap)
+    g = build_graph({1, 2}, link_records({(1, 2): (1.0, 1000.0)}))
     assert g.vertices == frozenset({1, 2})
     assert g.edges[(1, 2)].weight == pytest.approx(0.0)
     assert g.edges[(1, 2)].capacity == pytest.approx(1000.0)
-    assert g.built_from_epoch == 7
 
 
 def test_build_graph_weight_and_capacity_mapping():
     # w = 1 - 0.8 = 0.2; c = 500 * 0.8 = 400, direct evaluation.
-    snap = snapshot_with_links({(1, 2): (0.8, 500.0)})
-    g = build_graph(snap)
+    g = build_graph({1, 2}, link_records({(1, 2): (0.8, 500.0)}))
     assert g.edges[(1, 2)].weight == pytest.approx(0.2)
     assert g.edges[(1, 2)].capacity == pytest.approx(400.0)
 
 
 def test_build_graph_excludes_down_links():
-    snap = snapshot_with_links({(1, 2): (0.04, 500.0), (1, 3): (0.5, 500.0)})
-    g = build_graph(snap)  # default q_min = 0.05, strict
+    links = link_records({(1, 2): (0.04, 500.0), (1, 3): (0.5, 500.0)})
+    g = build_graph({1, 2, 3}, links)  # default q_min = 0.05, strict
     assert (1, 2) not in g.edges
     assert (1, 3) in g.edges
     assert g.vertices == frozenset({1, 2, 3})
 
 
-def test_build_graph_quality_override_map():
-    snap = snapshot_with_links({(1, 2): (1.0, 1000.0)})
-    override = {(1, 2): QualityFactor(link=(1, 2), q=0.5, sample_count=3)}
-    g = build_graph(snap, override)
-    assert g.edges[(1, 2)].weight == pytest.approx(0.5)
+def test_build_graph_leaves_out_links_to_other_vertices():
+    # Reflector 3 is not a vertex (expired or Failed): its links go too.
+    links = link_records({(1, 2): (0.9, 500.0), (1, 3): (0.9, 500.0), (3, 4): (0.9, 500.0)})
+    g = build_graph({1, 2, 4}, links)
+    assert g.vertices == frozenset({1, 2, 4})
+    assert set(g.edges) == {(1, 2)}
 
 
 # --- rerouting gate ---

@@ -1,4 +1,6 @@
 """Control protocol: golden message encodings and validation."""
+import re
+
 import pytest
 
 from vroverlay.errors import SchemaError
@@ -197,7 +199,7 @@ def test_snapshot_dict_round_trip():
     doc = snapshot_to_dict(snap)
     back = snapshot_from_dict(doc)
     assert back.epoch == snap.epoch
-    assert back.live_ids() == snap.live_ids()
+    assert back.reflectors == snap.reflectors
     assert back.tree_edges == snap.tree_edges
     assert back.room_members == snap.room_members
     assert back.flow.value == snap.flow.value
@@ -218,6 +220,32 @@ def test_snapshot_from_dict_rejects_malformed():
         snapshot_from_dict({"epoch": 1})
     with pytest.raises(SchemaError):
         snapshot_from_dict({"epoch": 1, "reflectors": [{"id": 1}]})
+    for path, value, field in [
+        (("reflectors", 0, "id"), "x", "reflectors[0].id"),
+        (("links", 0, "quality"), "q", "links[0].quality"),
+        (("epoch",), True, "epoch"),
+        (("reflectors", 1, "address"), 7, "reflectors[1].address"),
+        (("reflectors", 0, "last_heartbeat"), float("nan"), "reflectors[0].last_heartbeat"),
+        (("links", 0, "rtt_ms"), None, "links[0].rtt_ms"),
+        (("links", 0, "b"), 1.5, "links[0].b"),
+        (("links", 0, "loss"), 2.0, "links[0]"),
+        (("tree_edges",), [[1, 2, 3]], "tree_edges"),
+        (("room_members",), {"seven": [1]}, "room_members"),
+        (("room_members",), {"7": ["1"]}, "room_members"),
+        (("flow", "sink"), False, "flow.sink"),
+        (("flow", "value"), "1750", "flow.value"),
+        (("flow", "edges"), [["1", 2]], "flow.edges"),
+    ]:
+        doc = snapshot_to_dict(make_snapshot_value())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError, match="^field %s: " % re.escape(field)):
+            snapshot_from_dict(doc)
+    for doc in (None, [], "snapshot"):
+        with pytest.raises(SchemaError):
+            snapshot_from_dict(doc)
 
 
 def test_metric_sample_event_round_trip():

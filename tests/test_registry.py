@@ -18,6 +18,10 @@ def entry(rid, at=0.0, region="EU"):
     )
 
 
+def live_ids(snap):
+    return frozenset(e.reflector for e in snap.reflectors)
+
+
 def link_record(a, b, q=1.0, at=0.0):
     stats = LinkStats(link=(a, b), rtt_ms=20.0, loss_fraction=0.0,
                       capacity_kbps=1000.0, sampled_at=at)
@@ -102,7 +106,7 @@ def test_snapshot_prunes_dead_reflectors_everywhere():
     reg.set_tree({(1, 2)})
     reg.heartbeat(1, 40.0)
     snap = reg.publish_snapshot(40.0)  # 2 expired
-    assert snap.live_ids() == frozenset({1})
+    assert live_ids(snap) == frozenset({1})
     assert snap.links == ()
     assert snap.tree_edges == frozenset()
     assert snap.room_members == {}
@@ -117,7 +121,7 @@ def test_snapshot_internal_consistency_with_links():
     reg.set_tree({(1, 2)})
     reg.advertise_membership(1, {4})
     snap = reg.publish_snapshot(1.0)
-    live = snap.live_ids()
+    live = live_ids(snap)
     for record in snap.links:
         assert record.stats.link[0] in live and record.stats.link[1] in live
     for a, b in snap.tree_edges:
@@ -136,10 +140,10 @@ def test_snapshot_epochs_strictly_increase():
 def test_subscriber_sees_new_reflector_within_one_publish():
     reg = Registry()
     reg.register(entry(1))
-    assert reg.publish_snapshot(0.0).live_ids() == {1}
+    assert live_ids(reg.publish_snapshot(0.0)) == {1}
     reg.register(entry(4))
-    assert reg.publish_snapshot(10.0).live_ids() == {1, 4}  # next interval: 4 appears
-    assert reg.latest_snapshot.live_ids() == {1, 4}
+    assert live_ids(reg.publish_snapshot(10.0)) == {1, 4}  # next interval: 4 appears
+    assert live_ids(reg.latest_snapshot) == {1, 4}
 
 
 def test_deregister_removes_entry():
