@@ -230,6 +230,7 @@ def _metrics_tail(args) -> int:
         sock = socket.create_connection(parse_hostport(address), timeout=5.0)
     except OSError as exc:
         raise RegistryUnreachable("cannot reach registry at %s: %s" % (address, exc)) from exc
+    sock.settimeout(None)  # the timeout was for connecting; a quiet stream is not an error
     stop = {"flag": False}
     _install_stop_handler(lambda: stop.__setitem__("flag", True) or sock.close())
     printed = 0

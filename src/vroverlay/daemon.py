@@ -78,7 +78,6 @@ from .wire import HEADER_SIZE, read_media_packet
 log = logging.getLogger("vroverlay.daemon")
 
 MEDIA_QUEUE = 256          # frames a media connection holds before dropping
-PROBE_TIMEOUT_S = 2.0
 
 
 def parse_hostport(text: str) -> tuple:
@@ -566,7 +565,7 @@ class ReflectorDaemon:
         """Measure peer RTT over short probe connections, then uplink one collection.
 
         The collection goes out once every probe has answered, failed or hit
-        the timeout; no new round starts while one is open.
+        the `probe_deadline_ms` deadline; no new round starts while one is open.
         """
         if self._probes:
             return
@@ -582,7 +581,8 @@ class ReflectorDaemon:
             conn.send_msg(make_probe())
         if not probes:
             self._probe_done(None, None)
-        self._loop.call_later(PROBE_TIMEOUT_S, lambda: [conn.close() for conn in probes])
+        self._loop.call_later(self.config.probe_deadline_ms / 1000.0,
+                              lambda: [conn.close() for conn in probes])
 
     def _probe_reply(self, peer_id: int, started: float, conn: _Conn) -> None:
         line = _pop_line(conn.inbuf)

@@ -54,10 +54,6 @@ class NotAMember(OverlayError):
     pass
 
 
-class UnknownRoom(OverlayError):
-    pass
-
-
 class StaleEpoch(OverlayError):
     pass
 

@@ -39,8 +39,8 @@ def link_key(a: ReflectorId, b: ReflectorId) -> LinkKey:
 class PayloadType(enum.IntEnum):
     """Codec tag of a media payload.
 
-    Identifies video vs audio for chair-control filtering only; payload
-    bytes are always carried opaquely.
+    Carried in the wire header and in scenario traffic; forwarding does not
+    read it, and payload bytes are always carried opaquely.
     """
 
     OPAQUE = 0

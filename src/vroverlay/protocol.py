@@ -45,6 +45,14 @@ EVENT_FIELDS = {
     "notification": ("reflector", "reason", "at", "recipients"),
 }
 
+HELLO_FIELDS = {
+    "client": ("client",),
+    "peer": ("reflector",),
+}
+
+# Kinds whose required fields also depend on one field's value.
+_VARIANT_FIELDS = {"event": ("event", EVENT_FIELDS), "hello": ("role", HELLO_FIELDS)}
+
 # The JSON type of every top-level field, required or optional, checked
 # wherever it appears: (description, test). Ids and epochs are integers,
 # never booleans; json.loads gives exact built-in types, so `type() is` works.
@@ -127,10 +135,11 @@ def decode_message(line: str) -> dict:
     for name in msg:
         if name in FIELD_TYPES:
             _field(msg, "", name, FIELD_TYPES[name])
-    if kind == "event":
-        for name in EVENT_FIELDS.get(msg["event"], ()):
+    if kind in _VARIANT_FIELDS:
+        key, fields = _VARIANT_FIELDS[kind]
+        for name in fields.get(msg[key], ()):
             if name not in msg:
-                raise SchemaError("field %s: required for event %r" % (name, msg["event"]))
+                raise SchemaError("field %s: required for %s %r" % (name, key, msg[key]))
     return msg
 
 

@@ -1,8 +1,8 @@
 """Forwarding plane of a single reflector.
 
-Keeps local room membership and chair state, forwards media packets to
-local clients and tree-adjacent peers, and installs routing tables computed
-by the global optimizer. Forwarding never loops and never echoes a packet
+Keeps local room membership, forwards media packets to local clients and
+tree-adjacent peers, and installs routing tables computed by the global
+optimizer. Forwarding never loops and never echoes a packet
 back to its origin client or its ingress peer; loop freedom across the
 overlay comes from the tree discipline of the installed routes.
 
@@ -11,65 +11,19 @@ packet from a local client) and returns two ascending id lists: the local
 clients to deliver to and the peers to send to. It reads the routing table
 through a single reference, so each hop uses one whole table. That holds
 per hop only: an epoch swap between two hops can route one packet under the
-old table at one reflector and the new table at the next. Membership and
-chair mutations are expected to be serialized by the caller; the reflector
-daemon makes every engine call from its one loop thread, so callers are
-serialized by construction.
+old table at one reflector and the new table at the next. Membership
+mutations are expected to be serialized by the caller; the reflector daemon
+makes every engine call from its one loop thread, so callers are serialized
+by construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from .errors import NotAMember, StaleEpoch, UnknownClient, UnknownRoom
-from .model import NO_ID, ClientId, MediaPacket, PayloadType, ReflectorId, RoomId
+from .errors import NotAMember, StaleEpoch, UnknownClient
+from .model import NO_ID, ClientId, MediaPacket, ReflectorId, RoomId
 from .wire import HEADER_SIZE
-
-
-# --- chair controls ---
-
-@dataclass(frozen=True)
-class MuteAudio:
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class UnmuteAudio:
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class MuteVideo:
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class UnmuteVideo:
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class SelectSpeaker:
-    client: ClientId
-
-
-@dataclass(frozen=True)
-class ClearSpeaker:
-    pass
-
-
-ChairAction = MuteAudio | UnmuteAudio | MuteVideo | UnmuteVideo | SelectSpeaker | ClearSpeaker
-
-
-@dataclass
-class ChairState:
-    """Per-room chair decisions: mute sets plus an optional selected speaker."""
-    muted_audio: set = field(default_factory=set)
-    muted_video: set = field(default_factory=set)
-    selected_speaker: Optional[ClientId] = None
-
-    def copy(self) -> "ChairState":
-        return ChairState(set(self.muted_audio), set(self.muted_video), self.selected_speaker)
 
 
 @dataclass(frozen=True)
@@ -96,11 +50,10 @@ class ForwardCounters:
     bytes_in: int = 0
     bytes_out: int = 0
     unknown_room_drops: int = 0
-    chair_drops: int = 0
 
 
 class ReflectorEngine:
-    """One reflector's rooms, chair state, routing table, and forwarder."""
+    """One reflector's rooms, routing table, and forwarder."""
 
     def __init__(
         self,
@@ -111,7 +64,6 @@ class ReflectorEngine:
         self.counters = ForwardCounters()
         self._clients: dict = {}            # ClientId -> delivery endpoint handle
         self._rooms: dict = {}              # RoomId -> set of ClientId
-        self._chair: dict = {}              # RoomId -> ChairState
         self._routing: RoutingTable = EMPTY_ROUTING
         self._on_membership_change = on_membership_change
 
@@ -140,20 +92,13 @@ class ReflectorEngine:
             self._membership_changed()
 
     def leave_room(self, client: ClientId, room: RoomId) -> None:
-        """Remove a client from a room; deletes empty rooms and repairs chair state."""
+        """Remove a client from a room; deletes the room when it empties."""
         members = self._rooms.get(room)
         if members is None or client not in members:
             raise NotAMember("client %d is not a member of room %d" % (client, room))
         members.remove(client)
-        chair = self._chair.get(room)
-        if chair is not None:
-            chair.muted_audio.discard(client)
-            chair.muted_video.discard(client)
-            if chair.selected_speaker == client:
-                chair.selected_speaker = None
         if not members:
             del self._rooms[room]
-            self._chair.pop(room, None)
         self._membership_changed()
 
     def room_members(self, room: RoomId) -> frozenset:
@@ -172,57 +117,6 @@ class ReflectorEngine:
     def _membership_changed(self) -> None:
         if self._on_membership_change is not None:
             self._on_membership_change(self.local_rooms())
-
-    # --- chair controls ---
-
-    def chair_state(self, room: RoomId) -> ChairState:
-        """Copy of the room's chair state (empty state for rooms without one)."""
-        state = self._chair.get(room)
-        return state.copy() if state is not None else ChairState()
-
-    def apply_chair_control(self, room: RoomId, action: ChairAction) -> ChairState:
-        """Apply one chair decision; mute/select require current membership."""
-        members = self._rooms.get(room)
-        if members is None:
-            raise UnknownRoom("room %d has no members on reflector %d" % (room, self.reflector_id))
-        state = self._chair.setdefault(room, ChairState())
-        if isinstance(action, (MuteAudio, MuteVideo, SelectSpeaker)) and action.client not in members:
-            raise NotAMember("client %d is not a member of room %d" % (action.client, room))
-        if isinstance(action, MuteAudio):
-            state.muted_audio.add(action.client)
-        elif isinstance(action, UnmuteAudio):
-            state.muted_audio.discard(action.client)
-        elif isinstance(action, MuteVideo):
-            state.muted_video.add(action.client)
-        elif isinstance(action, UnmuteVideo):
-            state.muted_video.discard(action.client)
-        elif isinstance(action, SelectSpeaker):
-            state.selected_speaker = action.client
-        elif isinstance(action, ClearSpeaker):
-            state.selected_speaker = None
-        else:
-            raise TypeError("unknown chair action %r" % (action,))
-        return state.copy()
-
-    def install_chair_state(self, room: RoomId, state: ChairState) -> None:
-        """Adopt chair state decided elsewhere (already validated at its source).
-
-        Chair controls are validated where the target client is homed; other
-        reflectors hosting the room receive the resulting state verbatim.
-        """
-        self._chair[room] = state.copy()
-
-    def _chair_blocks(self, p: MediaPacket) -> bool:
-        state = self._chair.get(p.room)
-        if state is None:
-            return False
-        if p.payload_type == PayloadType.AUDIO_G711U:
-            return p.src in state.muted_audio
-        if p.payload_type == PayloadType.VIDEO_H261:
-            if p.src in state.muted_video:
-                return True
-            return state.selected_speaker is not None and p.src != state.selected_speaker
-        return False
 
     # --- routing ---
 
@@ -244,10 +138,10 @@ class ReflectorEngine:
         """Destinations of one packet: (clients, peers), each an ascending id list.
 
         Clients are the room's local members minus the origin client
-        (``p.src``), after chair filtering; peers are the room's pruned peer
-        egress minus ``from_peer``, the ingress peer (NO_ID for a packet from
-        a local client). Packets for rooms this reflector knows nothing about
-        are counted and dropped, not errored.
+        (``p.src``); peers are the room's pruned peer egress minus
+        ``from_peer``, the ingress peer (NO_ID for a packet from a local
+        client). Packets for rooms this reflector knows nothing about are
+        counted and dropped, not errored.
         """
         routing = self._routing  # one read: this hop sees exactly one table
         members = self._rooms.get(p.room)
@@ -257,9 +151,6 @@ class ReflectorEngine:
         self.counters.bytes_in += wire_bytes
         if members is None and peer_egress is None:
             self.counters.unknown_room_drops += 1
-            return [], []
-        if self._chair_blocks(p):
-            self.counters.chair_drops += 1
             return [], []
         clients = sorted(c for c in members if c != p.src) if members else []
         peers = sorted(r for r in peer_egress if r != from_peer) if peer_egress else []

@@ -38,10 +38,10 @@ from operator import itemgetter
 
 from ..config import OverlayConfig, apply_overrides
 from ..control import ControlPlane
-from ..errors import LinkDown, NotAMember, OverlayError, RegistryUnreachable, UnknownRoom
+from ..errors import LinkDown, OverlayError, RegistryUnreachable
 from ..model import NO_ID, LinkStats, MediaPacket
 from ..monitor import MetricCollector, MonitorService
-from ..reflector import MuteAudio, MuteVideo, ReflectorEngine, SelectSpeaker
+from ..reflector import ReflectorEngine
 from ..registry import RegistryEntry
 from ..supervisor import NotificationEvent, ProbeResult, RestartCommand
 from ..wire import HEADER_SIZE
@@ -207,7 +207,6 @@ class SimReport:
     transmissions_lost: int
     transmissions_in_flight: int
     unknown_room_drops: int
-    chair_drops: int
     routing_epochs: list
     notifications: list
     violations: list
@@ -242,7 +241,7 @@ class SimReport:
                 self.transmissions_lost,
                 self.transmissions_in_flight,
             ),
-            "drops: unknown_room=%d chair=%d" % (self.unknown_room_drops, self.chair_drops),
+            "drops: unknown_room=%d" % self.unknown_room_drops,
             "routing epochs installed: %s" % (self.routing_epochs or "none"),
             "notifications: %d" % len(self.notifications),
         ]
@@ -517,28 +516,6 @@ class OverlaySim:
         self.nodes[rid].alive = False
         self._trace("kill", reflector=rid)
 
-    def apply_chair(self, room: int, action) -> None:
-        """Validate a chair control at the target's home, replicate to hosts."""
-        hosts = sorted(
-            rid for rid, node in self.nodes.items() if room in node.engine.local_rooms()
-        )
-        if not hosts:
-            raise UnknownRoom("room %d has no members anywhere" % room)
-        if isinstance(action, (MuteAudio, MuteVideo, SelectSpeaker)):
-            home = self.client_home.get(action.client)
-            if home is None or action.client not in self.nodes[home].engine.room_members(room):
-                raise NotAMember(
-                    "client %d is not a member of room %d" % (action.client, room)
-                )
-            state = self.nodes[home].engine.apply_chair_control(room, action)
-            rest = [rid for rid in hosts if rid != home]
-        else:
-            state = self.nodes[hosts[0]].engine.apply_chair_control(room, action)
-            rest = hosts[1:]
-        for rid in rest:
-            self.nodes[rid].engine.install_chair_state(room, state)
-        self._trace("chair", room=room, action=type(action).__name__)
-
     def set_partition(self, isolated) -> None:
         freed = self.isolated - set(isolated)
         for key in sorted(self._partition_down):
@@ -692,7 +669,6 @@ class OverlaySim:
             unknown_room_drops=sum(
                 n.engine.counters.unknown_room_drops for n in self.nodes.values()
             ),
-            chair_drops=sum(n.engine.counters.chair_drops for n in self.nodes.values()),
             routing_epochs=list(self.routing_epochs),
             notifications=list(self.notifications),
             violations=list(self.violations),

@@ -255,6 +255,38 @@ def test_metrics_tail_bad_pattern_exit_two(capsys):
     assert main(["metrics", "tail", "--filter", "[", "--registry", "127.0.0.1:1"]) == EXIT_INPUT
 
 
+def test_metrics_tail_waits_through_a_quiet_stream(monkeypatch, capsys):
+    # The connect timeout must not carry over to the stream: with default
+    # intervals the registry stays silent longer than it, and the tail
+    # must still print the sample that comes after the silence.
+    daemon = RegistryDaemon(load_config(None, {}), listen="127.0.0.1:0")
+    daemon.start()
+    connect = socket.create_connection
+    monkeypatch.setattr("vroverlay.cli.socket.create_connection",
+                        lambda address, timeout=None: connect(address, timeout=0.2))
+    feeder = connect(("127.0.0.1", daemon.port), timeout=5)
+    tail_done = threading.Event()
+
+    def feed():
+        time.sleep(0.5)
+        sample = MetricSample(reflector=7, name="vrvs.clients", value=1.0, at=1000.0)
+        feeder.sendall(encode_message(make_metric_event(sample)).encode())
+        if not tail_done.wait(5.0):
+            daemon.stop()  # ends a tail that missed the sample instead of hanging
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    try:
+        code = main(["metrics", "tail", "--registry", registry_addr(daemon), "--limit", "1"])
+    finally:
+        tail_done.set()
+        thread.join(timeout=10)
+        feeder.close()
+        daemon.stop()
+    assert code == EXIT_OK
+    assert " 7 vrvs.clients 1" in capsys.readouterr().out
+
+
 def test_metrics_tail_streams_filtered_samples(registry, capsys):
     # The feeder reflector registers only after the tail is attached; its
     # samples must appear in the stream without restarting the tail.

@@ -1,5 +1,6 @@
 """Daemon integration over real sockets: registration, media, routing, metrics."""
 import json
+import logging
 import socket
 import struct
 import threading
@@ -602,3 +603,60 @@ def test_client_frame_under_another_id_is_dropped_and_counted(registry):
         c8.close()
     finally:
         ref.shutdown()
+
+
+def test_probe_round_closes_at_the_configured_deadline(registry):
+    # The peer accepts but never answers, so each probe round stays open
+    # until probe_deadline_ms and only then uplinks its collection.
+    silent = socket.create_server(("127.0.0.1", 0))
+    sub = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    sub.sendall(encode_message(make_subscribe("vrvs.clients", reflectors=[3])).encode())
+    reader = sub.makefile("r")
+    cfg = load_config(None, {**FAST, "registry_address": "127.0.0.1:%d" % registry.port,
+                             "reflector_id": 3, "listen": "127.0.0.1:0",
+                             "probe_deadline_ms": 150})
+    ref = ReflectorDaemon(cfg, peers={8: "127.0.0.1:%d" % silent.getsockname()[1]})
+    ref.start()
+    try:
+        deadline = time.monotonic() + 1.5
+        uplinks = 0
+        while uplinks < 3 and deadline > time.monotonic():
+            sub.settimeout(deadline - time.monotonic())
+            try:
+                msg = decode_message(reader.readline())
+            except TimeoutError:
+                break
+            if msg["kind"] == "event" and msg["event"] == "metric":
+                uplinks += 1
+        assert uplinks >= 3
+    finally:
+        ref.shutdown()
+        reader.close()
+        sub.close()
+        silent.close()
+
+
+def test_hello_without_its_role_field_closes_quietly(registry, caplog):
+    caplog.set_level(logging.DEBUG, logger="vroverlay.daemon")
+    ref = reflector(registry, 7)
+    try:
+        receiver = client_socket(ref.port, 1, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 1)
+        bad = [socket.create_connection(("127.0.0.1", ref.port), timeout=5) for _ in range(2)]
+        bad[0].sendall(b'{"kind":"hello","role":"client","rooms":[5],"v":3}\n')
+        bad[1].sendall(b'{"kind":"hello","role":"peer","v":3}\n')
+        assert [sock.recv(1) for sock in bad] == [b"", b""]  # closed by the reflector
+        sender = client_socket(ref.port, 2, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 2)
+        packet = MediaPacket(room=5, src=2, seq=1, timestamp_ms=1,
+                             payload_type=PayloadType.OPAQUE, payload=b"after")
+        sender.sendall(encode_media_packet(packet))
+        assert recv_frame(receiver) == packet
+        for sock in (*bad, receiver, sender):
+            sock.close()
+    finally:
+        ref.shutdown()
+    messages = [r.getMessage() for r in caplog.records]
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR], messages
+    assert any("required for role 'client'" in m for m in messages), messages
+    assert any("required for role 'peer'" in m for m in messages), messages

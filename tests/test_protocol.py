@@ -119,6 +119,10 @@ def test_decode_rejects_missing_required_field():
         decode_message('{"kind":"heartbeat","reflector":1,"v":3}')
     with pytest.raises(SchemaError):
         decode_message('{"event":"metric","kind":"event","v":3}')
+    with pytest.raises(SchemaError, match="field client: required for role 'client'"):
+        decode_message('{"kind":"hello","role":"client","rooms":[5],"v":3}')
+    with pytest.raises(SchemaError, match="field reflector: required for role 'peer'"):
+        decode_message('{"kind":"hello","role":"peer","v":3}')
 
 
 @pytest.mark.parametrize("line, field", [

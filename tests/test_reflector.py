@@ -1,18 +1,9 @@
-"""Reflector engine: membership, chair controls, forwarding, routing swaps."""
+"""Reflector engine: membership, forwarding, routing swaps."""
 import pytest
 
-from vroverlay.errors import NotAMember, StaleEpoch, UnknownClient, UnknownRoom
+from vroverlay.errors import NotAMember, StaleEpoch, UnknownClient
 from vroverlay.model import MediaPacket, PayloadType
-from vroverlay.reflector import (
-    ClearSpeaker,
-    MuteAudio,
-    MuteVideo,
-    ReflectorEngine,
-    RoutingTable,
-    SelectSpeaker,
-    UnmuteAudio,
-    UnmuteVideo,
-)
+from vroverlay.reflector import ReflectorEngine, RoutingTable
 
 R = 1
 ROOM = 7
@@ -83,15 +74,6 @@ def test_leave_not_a_member():
     eng.join_room(1, ROOM)
     with pytest.raises(NotAMember):
         eng.leave_room(9, ROOM)
-
-
-def test_leave_clears_speaker_reference():
-    eng = engine_with_clients(1, 2)
-    eng.join_room(1, ROOM)
-    eng.join_room(2, ROOM)
-    eng.apply_chair_control(ROOM, SelectSpeaker(1))
-    eng.leave_room(1, ROOM)
-    assert eng.chair_state(ROOM).selected_speaker is None
 
 
 def test_membership_change_callback():
@@ -174,68 +156,6 @@ def test_line_overlay_path_enumeration():
     assert engines[1].forward(p) == ([], [2])
     assert engines[2].forward(p, 1) == ([2], [3])
     assert engines[3].forward(p, 2) == ([3], [])
-
-
-# --- chair controls ---
-
-def test_mute_audio_blocks_audio_not_video():
-    eng = engine_with_clients(1, 2, 3)
-    for c in (1, 2, 3):
-        eng.join_room(c, ROOM)
-    eng.apply_chair_control(ROOM, MuteAudio(1))
-    audio = eng.forward(packet(src=1, ptype=PayloadType.AUDIO_G711U))
-    video = eng.forward(packet(src=1, ptype=PayloadType.VIDEO_H261))
-    assert audio == ([], [])
-    assert video == ([2, 3], [])
-    assert eng.counters.chair_drops == 1
-
-
-def test_selected_speaker_filters_video_only():
-    eng = engine_with_clients(1, 2, 3)
-    for c in (1, 2, 3):
-        eng.join_room(c, ROOM)
-    eng.apply_chair_control(ROOM, SelectSpeaker(2))
-    video_from_1 = eng.forward(packet(src=1, ptype=PayloadType.VIDEO_H261))
-    video_from_2 = eng.forward(packet(src=2, ptype=PayloadType.VIDEO_H261))
-    audio_from_1 = eng.forward(packet(src=1, ptype=PayloadType.AUDIO_G711U))
-    assert video_from_1 == ([], [])
-    assert video_from_2 == ([1, 3], [])
-    assert audio_from_1 == ([2, 3], [])
-
-
-def test_mute_unmute_round_trip_restores_state():
-    eng = engine_with_clients(1, 2)
-    eng.join_room(1, ROOM)
-    eng.join_room(2, ROOM)
-    before = eng.chair_state(ROOM)
-    eng.apply_chair_control(ROOM, MuteAudio(1))
-    eng.apply_chair_control(ROOM, UnmuteAudio(1))
-    assert eng.chair_state(ROOM) == before
-    eng.apply_chair_control(ROOM, MuteVideo(1))
-    eng.apply_chair_control(ROOM, UnmuteVideo(1))
-    assert eng.chair_state(ROOM) == before
-    eng.apply_chair_control(ROOM, SelectSpeaker(2))
-    eng.apply_chair_control(ROOM, ClearSpeaker())
-    assert eng.chair_state(ROOM) == before
-
-
-def test_chair_requires_membership_for_select_and_mute():
-    eng = engine_with_clients(1, 9)
-    eng.join_room(1, ROOM)
-    with pytest.raises(NotAMember):
-        eng.apply_chair_control(ROOM, SelectSpeaker(9))
-    with pytest.raises(NotAMember):
-        eng.apply_chair_control(ROOM, MuteAudio(9))
-    with pytest.raises(UnknownRoom):
-        eng.apply_chair_control(55, MuteAudio(1))
-
-
-def test_chair_state_is_copied_out():
-    eng = engine_with_clients(1)
-    eng.join_room(1, ROOM)
-    state = eng.apply_chair_control(ROOM, MuteAudio(1))
-    state.muted_audio.clear()
-    assert eng.chair_state(ROOM).muted_audio == {1}
 
 
 # --- routing swaps ---
