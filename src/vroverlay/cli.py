@@ -9,6 +9,7 @@ tail (live metric stream). Exit codes are uniform across subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
 import socket
 import sys
@@ -232,7 +233,13 @@ def _metrics_tail(args) -> int:
         raise RegistryUnreachable("cannot reach registry at %s: %s" % (address, exc)) from exc
     sock.settimeout(None)  # the timeout was for connecting; a quiet stream is not an error
     stop = {"flag": False}
-    _install_stop_handler(lambda: stop.__setitem__("flag", True) or sock.close())
+
+    def on_stop():  # unlike close, shutdown wakes a readline blocked on a quiet stream
+        stop["flag"] = True
+        with contextlib.suppress(OSError):
+            sock.shutdown(socket.SHUT_RDWR)
+
+    _install_stop_handler(on_stop)
     printed = 0
     with sock:
         sock.sendall(

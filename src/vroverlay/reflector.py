@@ -101,9 +101,6 @@ class ReflectorEngine:
             del self._rooms[room]
         self._membership_changed()
 
-    def room_members(self, room: RoomId) -> frozenset:
-        return frozenset(self._rooms.get(room, ()))
-
     def local_rooms(self) -> set:
         """Rooms with at least one local member (advertised to the control plane)."""
         return set(self._rooms)

@@ -287,6 +287,35 @@ def test_metrics_tail_waits_through_a_quiet_stream(monkeypatch, capsys):
     assert " 7 vrvs.clients 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_metrics_tail_quiet_stream_stops_on_signal(signum):
+    # With no stream timeout, only the stop handler can end a tail that
+    # waits on an idle registry; it must do so at once, not at the next sample.
+    daemon = RegistryDaemon(load_config(None, {}), listen="127.0.0.1:0")
+    daemon.start()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vroverlay.cli", "metrics", "tail",
+         "--registry", registry_addr(daemon)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=os.path.join(os.path.dirname(__file__), ".."),
+    )
+    try:
+        deadline = time.time() + 10
+        while time.time() < deadline and not daemon._subscribers:
+            time.sleep(0.05)
+        assert daemon._subscribers, "tail never subscribed"
+        time.sleep(0.5)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=2) == EXIT_OK, proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        daemon.stop()
+
+
 def test_metrics_tail_streams_filtered_samples(registry, capsys):
     # The feeder reflector registers only after the tail is attached; its
     # samples must appear in the stream without restarting the tail.

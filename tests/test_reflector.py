@@ -20,6 +20,11 @@ def packet(src, ptype=PayloadType.OPAQUE, room=ROOM, seq=1):
     return MediaPacket(room=room, src=src, seq=seq, timestamp_ms=0, payload_type=ptype)
 
 
+def members(eng, room=ROOM):
+    """The room's local members: the clients a non-member's packet reaches."""
+    return eng.forward(packet(src=0, room=room))[0]
+
+
 def routed(epoch, neighbors, egress):
     return RoutingTable(
         epoch=epoch,
@@ -33,7 +38,7 @@ def routed(epoch, neighbors, egress):
 def test_join_creates_room():
     eng = engine_with_clients(1)
     eng.join_room(1, ROOM)
-    assert eng.room_members(ROOM) == frozenset({1})
+    assert members(eng) == [1]
 
 
 def test_join_is_idempotent():
@@ -42,7 +47,7 @@ def test_join_is_idempotent():
     eng.attach_client(1)
     eng.join_room(1, ROOM)
     eng.join_room(1, ROOM)
-    assert eng.room_members(ROOM) == frozenset({1})
+    assert members(eng) == [1]
     assert seen == [{ROOM}]  # the repeat join fires no membership callback
 
 
@@ -56,7 +61,7 @@ def test_join_counts_cross_checked_with_metrics():
     eng = engine_with_clients(1, 2)
     eng.join_room(1, ROOM)
     eng.join_room(2, ROOM)
-    assert eng.room_members(ROOM) == frozenset({1, 2})
+    assert members(eng) == [1, 2]
     assert eng.client_count() == 2
     assert eng.room_count() == 1
 
@@ -66,7 +71,7 @@ def test_leave_removes_empty_room():
     eng.join_room(1, ROOM)
     eng.leave_room(1, ROOM)
     assert eng.room_count() == 0
-    assert eng.room_members(ROOM) == frozenset()
+    assert members(eng) == []
 
 
 def test_leave_not_a_member():
@@ -91,8 +96,8 @@ def test_detach_client_leaves_all_rooms():
     eng.join_room(2, ROOM)
     eng.join_room(1, 8)
     eng.detach_client(1)
-    assert eng.room_members(ROOM) == frozenset({2})
-    assert eng.room_members(8) == frozenset()
+    assert members(eng) == [2]
+    assert members(eng, 8) == []
 
 
 # --- forwarding ---
