@@ -390,8 +390,7 @@ class RegistryDaemon:
             conn.send_msg(make_snapshot(snap))
         elif kind == "event" and msg.get("event") == "metric":
             sample = metric_sample_from_event(msg)
-            self.monitor.record(sample)
-            self._derive_link(sample)
+            self.monitor.record([sample, *self._derive_link(sample)])
         elif kind == "probe":
             conn.send_msg(make_probe_reply(0, self.registry.routing_epoch))
         else:
@@ -402,17 +401,20 @@ class RegistryDaemon:
         if sub is not None:
             self.monitor.unsubscribe(sub.id)
 
-    def _derive_link(self, sample: MetricSample) -> None:
-        """Uplinked peer.<id>.rtt_ms samples define the overlay's link table."""
+    def _derive_link(self, sample: MetricSample) -> tuple:
+        """Uplinked peer.<id>.rtt_ms samples define the overlay's link table.
+
+        Returns the link's derived ``peer.<id>.quality`` sample, if any.
+        """
         parts = sample.name.split(".")
         if len(parts) != 3 or parts[0] != "peer" or parts[2] != "rtt_ms":
-            return
+            return ()
         try:
             peer = int(parts[1])
         except ValueError:
-            return
+            return ()
         if peer == sample.reflector:
-            return
+            return ()
         current = self.control.observe_link(
             LinkStats(
                 link=link_key(sample.reflector, peer),
@@ -422,9 +424,8 @@ class RegistryDaemon:
                 sampled_at=sample.at,
             )
         )
-        self.monitor.record(
-            MetricSample(sample.reflector, "peer.%d.quality" % peer, current.q, sample.at)
-        )
+        return (MetricSample(sample.reflector, sys.intern("peer.%d.quality" % peer), current.q,
+                             sample.at),)
 
     # --- periodic work (publish, optimize, supervise) ---
 
@@ -598,8 +599,9 @@ class ReflectorDaemon:
     def _probe_done(self, peer_id: Optional[int], conn: Optional[_Conn]) -> None:
         self._probes.pop(peer_id, None)
         if not self._probes:
-            for sample in self.collector.collect(self.engine, self._links, None, now_ms()):
-                self._control.send_msg(make_metric_event(sample))
+            samples = self.collector.collect(self.engine, self._links, None, now_ms())
+            self._control.send(b"".join(
+                encode_message(make_metric_event(s)).encode("utf-8") for s in samples))
 
     # --- media plane ---
 

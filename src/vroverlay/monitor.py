@@ -1,16 +1,22 @@
 """Per-reflector monitoring: bounded metric store, subscriptions, collection.
 
-The embedded store is an in-memory ring per (reflector, metric name) series,
-bounded two ways: at most ``series_capacity`` samples per series, and a
-global byte budget estimated as retained-samples * SAMPLE_COST_BYTES. Over
-budget, the globally oldest retained sample goes first: a FIFO of series
-keys in record order, skipping entries whose sample the ring already dropped.
-The defaults keep the whole store well under a 16 MB footprint.
+Samples are ingested in batches, one per monitoring tick: ``record`` takes
+a sequence and leaves the store, and every subscriber, as recording the
+samples one by one would.
+
+The embedded store is a ring per (reflector, metric name) series, bounded
+two ways: at most ``series_capacity`` samples per series, and a global byte
+budget estimated as retained-samples * SAMPLE_COST_BYTES. Over budget, the
+globally oldest retained sample goes first: a FIFO of rings in record
+order, skipping entries whose sample the ring already dropped. A ring is a
+list, so a series costs about its length: the budget holds for many short
+series as for a few long ones (see SAMPLE_COST_BYTES).
 
 Subscribers attach a glob filter over metric names, an optional reflector
 set and a delivery callable. Each matching sample is handed to the callable
-as it is recorded, so the callable must not block: the registry daemon's
-callable puts the sample on the connection's bounded drop-oldest send queue.
+once its batch is stored, so the callable must not block: the registry
+daemon's callable puts the sample on the connection's bounded drop-oldest
+send queue.
 """
 from __future__ import annotations
 
@@ -20,32 +26,32 @@ import os
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import BadPattern
 from .model import LinkStats, ReflectorId
 
-# Flat per-retained-sample footprint estimate; an upper bound on measured
-# CPython cost (slotted sample + two floats + ring bookkeeping, ~230 B), so
-# estimated footprint <= budget implies the real footprint fits too.
+# Flat per-retained-sample footprint estimate. Measured CPython cost: about
+# 120 B per sample (tuple, value float, ring and FIFO slots; 175 B when its
+# time and reflector id are objects of its own, as decoded samples' are) plus
+# about 190 B per series (key, dict slot, ring). So the estimate bounds the
+# real footprint while series average three samples or more.
 SAMPLE_COST_BYTES = 256
 DEFAULT_SERIES_CAPACITY = 4096
 DEFAULT_BUDGET_BYTES = 8 * 1024 * 1024
 
 
-@dataclass(frozen=True, slots=True)
-class MetricSample:
-    """One timestamped measurement of a named parameter on one reflector."""
+class MetricSample(NamedTuple):
+    """One timestamped measurement of a named parameter on one reflector.
+
+    Names repeat endlessly, so whoever builds samples from foreign strings
+    interns the name (see ``protocol.metric_sample_from_event``).
+    """
 
     reflector: ReflectorId
     name: str
     value: float
     at: float
-
-    def __post_init__(self):
-        # Series names repeat endlessly; interning keeps one copy alive.
-        object.__setattr__(self, "name", sys.intern(self.name))
 
 
 def compile_pattern(pattern: str) -> "re.Pattern":
@@ -85,7 +91,7 @@ class Subscription:
         self.deliver = deliver
         self.reflectors = frozenset(reflectors) if reflectors is not None else None
         self.min_interval_ms = min_interval_ms
-        self._last_sent: dict = {}  # (reflector, name) -> at of last delivered sample
+        self._last_sent: dict = {}  # (reflector, name) -> at of last delivery, if rate-limited
 
     def matches(self, sample: MetricSample) -> bool:
         if self.reflectors is not None and sample.reflector not in self.reflectors:
@@ -94,17 +100,23 @@ class Subscription:
 
     def offer(self, sample: MetricSample) -> None:
         """Deliver a matching sample, honoring min_interval per series."""
-        key = (sample.reflector, sample.name)
-        last = self._last_sent.get(key)
-        if last is not None and self.min_interval_ms > 0 and sample.at - last < self.min_interval_ms:
-            return
-        self._last_sent[key] = sample.at
+        if self.min_interval_ms > 0:
+            key = (sample.reflector, sample.name)
+            last = self._last_sent.get(key)
+            if last is not None and sample.at - last < self.min_interval_ms:
+                return
+            self._last_sent[key] = sample.at
         self.deliver(sample)
 
 
-class RecordResult:
-    STORED = "stored"
-    TIMESTAMP_REGRESSION = "timestamp_regression"
+class _Ring(list):
+    """One series' retained samples, oldest first.
+
+    ``stale`` counts this ring's leading FIFO entries whose sample the ring
+    itself already dropped at capacity.
+    """
+
+    __slots__ = ("stale",)
 
 
 class MetricStore:
@@ -122,64 +134,68 @@ class MetricStore:
         self.max_total = max(1, budget_bytes // SAMPLE_COST_BYTES)
         self.regressions = 0
         self.evictions = 0
-        self._series: dict = {}        # (reflector, name) -> deque of samples
-        self._order: deque = deque()   # series key of every recorded sample, oldest first
-        self._stale: dict = {}         # key -> its leading _order entries the ring evicted
+        self._series: dict = {}        # (reflector, name) -> _Ring, never empty
+        self._order: deque = deque()   # the ring of every recorded sample, oldest first
         self._total = 0
 
-    def record(self, sample: MetricSample) -> str:
-        """Append one sample; evicts per the ring and budget bounds.
+    def record(self, samples: Iterable[MetricSample]) -> list:
+        """Append samples in order, evicting per the ring and budget bounds.
 
-        Samples older than the newest retained sample of their series are
+        A sample older than the newest retained sample of its series is
         dropped and counted (timestamps per series are nondecreasing).
+        Returns the samples stored, in order.
         """
-        if not sample.name:
-            raise ValueError("metric name must be nonempty")
-        key = (sample.reflector, sample.name)
-        ring = self._series.get(key)
-        if ring is None:
-            ring = self._series[key] = deque(maxlen=self.series_capacity)
-        if ring and sample.at < ring[-1].at:
-            self.regressions += 1
-            return RecordResult.TIMESTAMP_REGRESSION
-        if len(ring) == self.series_capacity:  # the append drops the ring's oldest
-            self.evictions += 1
-            self._stale[key] = self._stale.get(key, 0) + 1
-        else:
-            self._total += 1
-        ring.append(sample)
-        self._order.append(key)
-        while self._total > self.max_total:
-            self._evict_oldest()
-        if len(self._order) > 2 * self._total:
-            self._compact()
-        return RecordResult.STORED
+        series, order = self._series, self._order
+        capacity, max_total = self.series_capacity, self.max_total
+        total, evictions, regressions = self._total, self.evictions, self.regressions
+        stored = []
+        try:
+            for sample in samples:
+                reflector, name, _, at = sample
+                ring = series.get((reflector, name))
+                if ring is None:
+                    if not name:
+                        raise ValueError("metric name must be nonempty")
+                    ring = series[reflector, name] = _Ring()
+                    ring.stale = 0
+                elif at < ring[-1].at:
+                    regressions += 1
+                    continue
+                if len(ring) == capacity:  # the ring drops its oldest
+                    del ring[0]
+                    ring.stale += 1
+                    evictions += 1
+                else:
+                    total += 1
+                ring.append(sample)
+                order.append(ring)
+                stored.append(sample)
+                while total > max_total:  # evict the globally oldest
+                    oldest = order.popleft()
+                    if oldest.stale:  # this entry's sample already left its ring
+                        oldest.stale -= 1
+                        continue
+                    total -= 1
+                    evictions += 1
+                    if len(oldest) == 1:
+                        del series[oldest[0].reflector, oldest[0].name]
+                    else:
+                        del oldest[0]
+                if len(order) > 2 * total:
+                    order = self._order = self._compacted()
+        finally:
+            self._total, self.evictions, self.regressions = total, evictions, regressions
+        return stored
 
-    def _evict_oldest(self) -> None:
-        while True:
-            key = self._order.popleft()
-            skip = self._stale.pop(key, 0)
-            if skip:  # this entry's sample already left its ring
-                if skip > 1:
-                    self._stale[key] = skip - 1
-                continue
-            ring = self._series[key]
-            ring.popleft()
-            self._total -= 1
-            self.evictions += 1
-            if not ring:
-                del self._series[key]
-            return
-
-    def _compact(self) -> None:
-        """Drop the order entries of samples their ring already evicted."""
-        stale, kept = self._stale, deque()
-        for key in self._order:
-            if stale.get(key):
-                stale[key] -= 1
+    def _compacted(self) -> deque:
+        """The order without the entries of samples their ring already dropped."""
+        kept = deque()
+        for ring in self._order:
+            if ring.stale:
+                ring.stale -= 1
             else:
-                kept.append(key)
-        self._order, self._stale = kept, {}
+                kept.append(ring)
+        return kept
 
     def query_range(self, reflector: ReflectorId, name: str, t_from: float, t_to: float) -> list:
         """Retained samples with t_from <= at <= t_to, ascending by time."""
@@ -191,7 +207,7 @@ class MetricStore:
 
     def heads(self) -> list:
         """Newest retained sample of every series, in series-creation order."""
-        return [ring[-1] for ring in self._series.values() if ring]
+        return [ring[-1] for ring in self._series.values()]
 
     def total_samples(self) -> int:
         return self._total
@@ -218,14 +234,20 @@ class MonitorService:
         self._subs: dict = {}
         self._next_sub = itertools.count(1)
 
-    def record(self, sample: MetricSample) -> str:
-        result = self.store.record(sample)
-        if result == RecordResult.STORED and self._subs:
-            # A snapshot: delivering may close a subscriber, which unsubscribes it.
-            for sub in tuple(self._subs.values()):
-                if sub.matches(sample):
-                    sub.offer(sample)
-        return result
+    def record(self, samples: Iterable[MetricSample]) -> list:
+        """Store a batch, then hand each subscriber its matching samples in order."""
+        stored = self.store.record(samples)
+        subs = self._subs
+        if subs and stored:
+            # A snapshot: delivering may close a subscriber, which unsubscribes
+            # it and so ends its deliveries.
+            for sub in tuple(subs.values()):
+                for sample in stored:
+                    if sub.matches(sample):
+                        if sub.id not in subs:
+                            break
+                        sub.offer(sample)
+        return stored
 
     def subscribe(
         self,
@@ -264,6 +286,7 @@ class MetricCollector:
         self._prev_at = started_at
         self._prev_bytes_in = 0
         self._prev_bytes_out = 0
+        self._peer_names: dict = {}  # peer id -> its (loss, rtt_ms, quality) series names
 
     def collect(
         self,
@@ -296,10 +319,14 @@ class MetricCollector:
         for stats in sorted(links, key=lambda s: s.link):
             a, b = stats.link
             peer = b if a == rid else a
-            samples.append(MetricSample(rid, "peer.%d.loss" % peer, stats.loss_fraction, now))
-            samples.append(MetricSample(rid, "peer.%d.rtt_ms" % peer, stats.rtt_ms, now))
+            names = self._peer_names.get(peer)
+            if names is None:
+                names = self._peer_names[peer] = tuple(
+                    sys.intern("peer.%d.%s" % (peer, m)) for m in ("loss", "rtt_ms", "quality"))
+            samples.append(MetricSample(rid, names[0], stats.loss_fraction, now))
+            samples.append(MetricSample(rid, names[1], stats.rtt_ms, now))
             if quality is not None:
                 qf = quality.get(stats.link)
                 if qf is not None:
-                    samples.append(MetricSample(rid, "peer.%d.quality" % peer, qf.q, now))
+                    samples.append(MetricSample(rid, names[2], qf.q, now))
         return samples

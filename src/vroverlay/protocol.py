@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Optional
 
 from .errors import SchemaError
@@ -235,9 +236,8 @@ def make_metric_event(sample: MetricSample) -> dict:
 
 
 def metric_sample_from_event(msg: dict) -> MetricSample:
-    return MetricSample(
-        reflector=msg["reflector"], name=msg["name"], value=msg["value"], at=msg["at"]
-    )
+    # Series names repeat endlessly; interning keeps one copy per series alive.
+    return MetricSample(msg["reflector"], sys.intern(msg["name"]), msg["value"], msg["at"])
 
 
 def make_notification_event(reflector: int, reason: str, at: float, recipients) -> dict:

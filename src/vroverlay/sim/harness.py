@@ -408,14 +408,13 @@ class OverlaySim:
             per_node_links[a].append(stats)
             per_node_links[b].append(stats)
         if self.monitoring:
+            samples = []
             for rid in sorted(self.nodes):
                 node = self.nodes[rid]
-                if not node.alive:
-                    continue
-                for sample in node.collector.collect(
-                    node.engine, per_node_links[rid], self.control.filters, now
-                ):
-                    self.monitor.record(sample)
+                if node.alive:
+                    samples += node.collector.collect(
+                        node.engine, per_node_links[rid], self.control.filters, now)
+            self.monitor.record(samples)
         self.loop.schedule_in(self.config.monitor_interval_ms, self._monitor_tick)
 
     def _optimizer_cycle(self) -> None:

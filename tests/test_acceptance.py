@@ -369,15 +369,17 @@ def test_criterion_08_monitoring_bounds_and_non_interference():
     store = MetricStore()  # documented defaults: C=4096, budget 8 MiB
     total = 1_000_000
     n_reflectors, n_names = 8, 8
-    for i in range(total):
-        store.record(
+    tick = n_reflectors * n_names  # one sample of every series
+    for start in range(0, total, tick):
+        store.record([
             MetricSample(
                 reflector=i % n_reflectors + 1,
                 name="m.%d" % (i // n_reflectors % n_names),
                 value=float(i),
                 at=float(i),
             )
-        )
+            for i in range(start, start + tick)
+        ])
     assert store.footprint_bytes() <= store.budget_bytes
     assert store.footprint_bytes() <= 16 * 1024 * 1024  # the stated memory target
     assert max(store.series_lengths().values()) <= store.series_capacity

@@ -109,6 +109,8 @@ def test_bundled_scenarios_deterministic_trace_hashes():
         second = OverlaySim(load_scenario_file(path)).run()
         assert first.trace_hash() == second.trace_hash(), name
         assert first.trace_hash() == expected, name
+        unmonitored = OverlaySim(load_scenario_file(path), monitoring=False).run()
+        assert unmonitored.trace_hash() == expected, name
 
 
 def test_sim_run_trace_file_hashes_to_the_printed_trace_hash(tmp_path, capsys):
@@ -170,11 +172,17 @@ def test_trace_read_in_the_middle_of_a_chunk(tmp_path):
     check_trace_view(report.trace, whole)
 
 
-def test_finished_report_keeps_the_trace_as_text_not_events():
+def load_bench_scenarios():
+    """The benchmark's scenario builders (`bench/scenarios.py`)."""
     path = os.path.join(os.path.dirname(__file__), "..", "bench", "scenarios.py")
     spec = importlib.util.spec_from_file_location("bench_scenarios", path)
     bench_scenarios = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_scenarios)
+    return bench_scenarios
+
+
+def test_finished_report_keeps_the_trace_as_text_not_events():
+    bench_scenarios = load_bench_scenarios()
     scenario = load_scenario(
         bench_scenarios.media_scenario(1900, **bench_scenarios.MEDIA_SIZES["smoke"]))
     gc.collect()
@@ -444,6 +452,50 @@ def test_monitoring_on_off_delivery_sets_identical():
     off = run_doc(doc, monitoring=False)
     assert deliveries(on) == deliveries(off)
     assert on.media == off.media
+
+
+def monitor_digest(store):
+    """sha256 over what the store retains and counts after a run."""
+    lengths = store.series_lengths()
+    keys = list(lengths)
+    picked = keys[:2] + keys[len(keys) // 2:len(keys) // 2 + 1] + keys[-2:]
+    doc = {
+        "heads": [[s.reflector, s.name, s.value, s.at] for s in store.heads()],
+        "lengths": [[r, n, k] for (r, n), k in lengths.items()],
+        "evictions": store.evictions,
+        "regressions": store.regressions,
+        "total": store.total_samples(),
+        "ranges": [[[s.value, s.at] for s in store.query_range(r, n, float("-inf"), float("inf"))]
+                   for r, n in picked],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# Trace hashes do not cover the monitor, so its store is pinned on its own.
+# "sim-control-tight" shrinks the store until rings and the budget both evict.
+MONITOR_DIGESTS = {
+    "eu-us-backup": "792032bb9a047b4e3e98dd4fbc252d6c13c53748fa932cff01975ecfe629d883",
+    "line3": "226345ddc9f7dff2b5b0122ed547fe615a193e522b4fba565b0f51760663f5bd",
+    "restart-fail": "08ce8c51ad8845b91208c1dc2fe928e09b6f76ca5ebeb9e529e3d8765ae867c4",
+    "restart-ok": "04f86f89e3ee6d8c132bc61810ba2fd3451446ec928e94de96c164715d0ccfe7",
+    "sim-control": "5b3ef8b4d44e18f726410411d46bab39a532ef784544db21a48d8f0ead98a687",
+    "sim-control-tight": "ab8889dc1c6149586a76c6ec7eebb303e8d3a3744b5955f93415ad986cbb385b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONITOR_DIGESTS))
+def test_monitor_store_digest_is_pinned(name):
+    if name.startswith("sim-control"):
+        bench_scenarios = load_bench_scenarios()
+        doc = bench_scenarios.control_scenario(7, **bench_scenarios.CONTROL_SIZES["smoke"])
+        if name == "sim-control-tight":
+            doc["config"] = dict(doc.get("config", {}), series_capacity=5, budget_bytes=256 * 1500)
+        scenario = load_scenario(doc)
+    else:
+        scenario = load_scenario_file(os.path.join(SCENARIOS, "%s.json" % name))
+    sim = OverlaySim(scenario)
+    sim.run()
+    assert monitor_digest(sim.monitor.store) == MONITOR_DIGESTS[name]
 
 
 def test_monitor_tick_emits_quality_series():

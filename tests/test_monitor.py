@@ -16,7 +16,6 @@ from vroverlay.monitor import (
     MetricSample,
     MetricStore,
     MonitorService,
-    RecordResult,
     compile_pattern,
 )
 from vroverlay.quality import QualityFactor
@@ -32,24 +31,22 @@ def sample(name="sys.load", value=1.0, at=0.0, reflector=1):
 def test_ring_keeps_last_capacity_samples():
     store = MetricStore(series_capacity=3)
     for i in range(4):
-        store.record(sample(value=float(i), at=float(i)))
+        store.record([sample(value=float(i), at=float(i))])
     kept = store.query_range(1, "sys.load", 0.0, 10.0)
     assert [s.value for s in kept] == [1.0, 2.0, 3.0]
 
 
 def test_timestamp_regression_dropped_and_counted():
     store = MetricStore()
-    store.record(sample(at=10.0))
-    result = store.record(sample(at=5.0))
-    assert result == RecordResult.TIMESTAMP_REGRESSION
+    store.record([sample(at=10.0)])
+    assert store.record([sample(at=5.0)]) == []
     assert store.regressions == 1
     assert [s.at for s in store.query_range(1, "sys.load", 0.0, 99.0)] == [10.0]
 
 
 def test_equal_timestamps_allowed():
     store = MetricStore()
-    assert store.record(sample(at=10.0)) == RecordResult.STORED
-    assert store.record(sample(at=10.0)) == RecordResult.STORED
+    assert store.record([sample(at=10.0), sample(at=10.0)]) == [sample(at=10.0)] * 2
 
 
 def test_query_range_empty_store():
@@ -60,7 +57,7 @@ def test_query_range_empty_store():
 def test_query_range_full_and_filtered():
     store = MetricStore()
     for at in (1.0, 2.0, 3.0):
-        store.record(sample(at=at))
+        store.record([sample(at=at)])
     assert [s.at for s in store.query_range(1, "sys.load", 0.0, 10.0)] == [1.0, 2.0, 3.0]
     assert [s.at for s in store.query_range(1, "sys.load", 2.0, 2.5)] == [2.0]
 
@@ -75,7 +72,7 @@ def test_query_never_resurrects_evicted_samples():
         t += rng.random()
         s = sample(at=t, value=rng.random())
         shadow.append(s)
-        store.record(s)
+        store.record([s])
     expected = shadow[-5:]
     got = store.query_range(1, "sys.load", 0.0, t + 1)
     assert got == expected
@@ -86,7 +83,7 @@ def test_query_never_resurrects_evicted_samples():
 def test_ring_bound_property(ats, capacity):
     store = MetricStore(series_capacity=capacity)
     for at in sorted(ats):
-        store.record(sample(at=at))
+        store.record([sample(at=at)])
     assert store.series_length(1, "sys.load") <= capacity
 
 
@@ -96,9 +93,9 @@ def test_budget_evicts_globally_oldest_first():
     budget = SAMPLE_COST_BYTES * 10
     store = MetricStore(series_capacity=100, budget_bytes=budget)
     for i in range(8):
-        store.record(sample(name="a", at=float(i)))
+        store.record([sample(name="a", at=float(i))])
     for i in range(8):
-        store.record(sample(name="b", at=float(i)))
+        store.record([sample(name="b", at=float(i))])
     assert store.total_samples() == 10
     assert store.footprint_bytes() <= budget
     # series "a" lost its oldest six samples first
@@ -107,23 +104,26 @@ def test_budget_evicts_globally_oldest_first():
 
 
 def test_sample_cost_estimate_upper_bounds_reality():
-    # The documented per-sample cost must dominate measured CPython cost,
-    # otherwise the budget would not really honor the memory target.
+    # The estimated footprint must dominate the measured one, otherwise the
+    # budget would not really bound memory: for a few long series and for
+    # many short ones (300 reflectors x 30 series, a 300-reflector
+    # simulation's shape), recorded a tick at a time past the first eviction.
     import tracemalloc
 
-    tracemalloc.start()
-    store = MetricStore()
-    i = 0
-    while store.total_samples() < store.max_total:
-        store.record(
-            sample(name="peer.%d.rtt_ms" % (i % 8), reflector=i % 16 + 1,
-                   value=float(i) + 0.5, at=float(i))
-        )
-        i += 1
-    current, _ = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert current / store.total_samples() <= SAMPLE_COST_BYTES
-    assert current <= store.budget_bytes
+    for n_reflectors, n_names in ((16, 8), (300, 30)):
+        series = list(itertools.product(range(1000, 1000 + n_reflectors),
+                                        ["peer.%d.rtt_ms" % k for k in range(n_names)]))
+        tracemalloc.start()
+        store = MetricStore()
+        i = 0
+        while i < store.max_total * 5 // 4:
+            store.record([sample(name=name, reflector=r, value=i + k + 0.5, at=float(i))
+                          for k, (r, name) in enumerate(series)])
+            i += len(series)
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert store.evictions > 0
+        assert current <= store.footprint_bytes() <= store.budget_bytes, (n_reflectors, n_names)
 
 
 def test_budget_holds_under_many_series():
@@ -132,7 +132,7 @@ def test_budget_holds_under_many_series():
     rng = random.Random(9)
     for i in range(2000):
         store.record(
-            sample(name="m.%d" % rng.randrange(20), reflector=rng.randrange(1, 5), at=float(i))
+            [sample(name="m.%d" % rng.randrange(20), reflector=rng.randrange(1, 5), at=float(i))]
         )
         assert store.footprint_bytes() <= budget
     assert store.total_samples() <= 50
@@ -151,12 +151,16 @@ class HeapStore:
         self._heads = []
         self._total = 0
 
-    def record(self, sample):
+    def record(self, samples):
+        """Returns the samples stored, as MetricStore.record does."""
+        return [s for s in samples if self._record(s)]
+
+    def _record(self, sample):
         key = (sample.reflector, sample.name)
         ring = self._series.setdefault(key, deque())
         if ring and sample.at < ring[-1][1].at:
             self.regressions += 1
-            return RecordResult.TIMESTAMP_REGRESSION
+            return False
         arrival = next(self._arrival)
         if not ring:
             heapq.heappush(self._heads, (arrival, key))
@@ -179,7 +183,7 @@ class HeapStore:
                 heapq.heappush(self._heads, (ring[0][0], key))
             else:
                 del self._series[key]
-        return RecordResult.STORED
+        return True
 
     def query_range(self, reflector, name, t_from, t_to):
         ring = self._series.get((reflector, name))
@@ -208,7 +212,7 @@ def test_fifo_store_matches_heap_reference(capacity, budget_samples, ops):
         clocks[series] += step
         s = sample(name="m.%d" % series, reflector=series % 2 + 1, value=float(i),
                    at=clocks[series])
-        assert store.record(s) == reference.record(s)
+        assert store.record([s]) == reference.record([s])
         for k in range(4):
             args = (k % 2 + 1, "m.%d" % k, float("-inf"), float("inf"))
             assert store.query_range(*args) == reference.query_range(*args)
@@ -223,9 +227,8 @@ def test_bookkeeping_bounded_when_rings_do_the_evicting():
     # is a ring eviction; the eviction order must not grow with them.
     store = MetricStore(series_capacity=4)
     for i in range(100_000):
-        store.record(sample(name="m.%d" % (i % 3), at=float(i)))
-        entries = len(store._order) + len(store._stale)
-        assert entries <= 2 * store.total_samples() + len(store.series_lengths())
+        store.record([sample(name="m.%d" % (i % 3), at=float(i))])
+        assert len(store._order) <= 2 * store.total_samples()
     assert store.total_samples() == 12
     assert store.evictions == 100_000 - 12
 
@@ -252,8 +255,8 @@ def test_subscription_receives_matching_sample():
     svc = MonitorService()
     got = []
     svc.subscribe("vrvs.*", got.append, min_interval_ms=0.0)
-    svc.record(sample(name="vrvs.clients", value=5.0, at=1.0))
-    svc.record(sample(name="sys.load", value=0.5, at=1.0))
+    svc.record([sample(name="vrvs.clients", value=5.0, at=1.0)])
+    svc.record([sample(name="sys.load", value=0.5, at=1.0)])
     assert [s.name for s in got] == ["vrvs.clients"]
     assert got[0].value == 5.0
 
@@ -262,8 +265,8 @@ def test_subscription_reflector_filter():
     svc = MonitorService()
     got = []
     svc.subscribe("*", got.append, reflectors={2})
-    svc.record(sample(reflector=1, at=1.0))
-    svc.record(sample(reflector=2, at=1.0))
+    svc.record([sample(reflector=1, at=1.0)])
+    svc.record([sample(reflector=2, at=1.0)])
     assert [s.reflector for s in got] == [2]
 
 
@@ -272,15 +275,26 @@ def test_subscription_min_interval_rate_limit():
     got = []
     svc.subscribe("sys.load", got.append, min_interval_ms=30_000.0)
     for i in range(7):  # every 10 s for 60 s
-        svc.record(sample(at=i * 10_000.0))
+        svc.record([sample(at=i * 10_000.0)])
     assert [s.at for s in got] == [0.0, 30_000.0, 60_000.0]
+
+
+def test_only_a_rate_limited_subscription_remembers_its_series():
+    # With no min_interval nothing reads the last delivery time, so a
+    # long-lived subscriber must not keep one per series it ever saw.
+    svc = MonitorService()
+    plain = svc.subscribe("*", lambda sample: None)
+    limited = svc.subscribe("*", lambda sample: None, min_interval_ms=5.0)
+    svc.record([sample(name="m.%d" % i, at=float(i)) for i in range(50)])
+    assert plain._last_sent == {}
+    assert len(limited._last_sent) == 50
 
 
 def test_subscription_catch_up_heads_on_subscribe():
     svc = MonitorService()
-    svc.record(sample(name="vrvs.rooms", value=1.0, at=1.0))
-    svc.record(sample(name="vrvs.rooms", value=2.0, at=2.0))
-    svc.record(sample(name="sys.load", value=0.1, at=2.0))
+    svc.record([sample(name="vrvs.rooms", value=1.0, at=1.0)])
+    svc.record([sample(name="vrvs.rooms", value=2.0, at=2.0)])
+    svc.record([sample(name="sys.load", value=0.1, at=2.0)])
     got = []
     svc.subscribe("vrvs.*", got.append)
     assert [(s.name, s.value) for s in got] == [("vrvs.rooms", 2.0)]
@@ -294,7 +308,7 @@ def test_subscription_completeness_exactly_once():
     for i in range(500):
         s = sample(name="m.%d" % (i % 7), at=float(i))
         sent.append(s)
-        svc.record(s)
+        svc.record([s])
     assert got == sent
 
 
@@ -303,7 +317,7 @@ def test_unsubscribe_stops_delivery():
     got = []
     sub = svc.subscribe("*", got.append)
     svc.unsubscribe(sub.id)
-    svc.record(sample(at=1.0))
+    svc.record([sample(at=1.0)])
     assert got == []
 
 
@@ -313,7 +327,7 @@ def test_unsubscribing_during_delivery_spares_the_other_subscribers():
     first = svc.subscribe("*", lambda sample: svc.unsubscribe(first.id))
     svc.subscribe("*", got.append)
     for at in (1.0, 2.0):
-        svc.record(sample(at=at))
+        svc.record([sample(at=at)])
     assert [s.at for s in got] == [1.0, 2.0]
     assert list(svc._subs) == [2]
 

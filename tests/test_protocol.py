@@ -256,3 +256,11 @@ def test_metric_sample_event_round_trip():
     sample = MetricSample(reflector=3, name="peer.2.loss", value=0.25, at=77.0)
     msg = decode_message(encode_message(make_metric_event(sample)))
     assert metric_sample_from_event(msg) == sample
+
+
+def test_decoded_samples_of_one_series_share_their_name():
+    # Each decode builds a new name string; the store retains one per series.
+    line = encode_message(make_metric_event(MetricSample(3, "peer.2.loss", 0.25, 77.0)))
+    first, second = (metric_sample_from_event(decode_message(line)) for _ in range(2))
+    assert first.name == second.name == "peer.2.loss"
+    assert first.name is second.name
