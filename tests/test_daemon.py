@@ -145,14 +145,25 @@ def test_registry_snapshot_lists_links_derived_from_metrics(registry):
         ref2.shutdown()
 
 
+def probe(port):
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(encode_message(make_probe()).encode())
+        return decode_message(sock.makefile("r").readline())
+
+
 def test_probe_reply_carries_reflector_and_epoch(registry):
     ref = reflector(registry, 3)
     try:
-        with socket.create_connection(("127.0.0.1", ref.port), timeout=5) as sock:
-            sock.sendall(encode_message(make_probe()).encode())
-            reply = decode_message(sock.makefile("r").readline())
+        assert wait_for(lambda: ref.engine.routing.epoch >= 1)
+        reply = probe(ref.port)
         assert reply["kind"] == "probe_reply"
         assert reply["reflector"] == 3
+        assert reply["epoch"] == ref.engine.routing.epoch
+        # The registry answers for itself: reflector 0, its last install's epoch.
+        reply = probe(registry.port)
+        assert reply["kind"] == "probe_reply"
+        assert reply["reflector"] == 0
+        assert reply["epoch"] >= 1
     finally:
         ref.shutdown()
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vroverlay.cli import main
+from vroverlay.export import snapshot_to_json
 from vroverlay.model import PayloadType
 from vroverlay.sim import OverlaySim, load_scenario, load_scenario_file
 from vroverlay.sim.harness import _CHUNK_EVENTS, _trace_line
@@ -111,6 +112,27 @@ def test_bundled_scenarios_deterministic_trace_hashes():
         assert first.trace_hash() == expected, name
         unmonitored = OverlaySim(load_scenario_file(path), monitoring=False).run()
         assert unmonitored.trace_hash() == expected, name
+
+
+# sha256 of `snapshot_to_json` of the last published snapshot, as `sim run
+# --snapshot-out` writes it. The trace holds only a snapshot's epoch and
+# reflectors; these pin its links, tree edges, rooms and gateway flow too.
+BUNDLED_SNAPSHOT_HASHES = {
+    "line3": "8af38c3070b5b1ac7777fe63c8220741b602fa53cc2b5f9bcce2205fb6107f8a",
+    "eu-us-backup": "40a744e5a58515074bb06ceea272cb6a2fe69f7d8e63f197b448c67f4bd3f41b",
+    "restart-fail": "ccd59e99dccb829736c3dba7e03a98abbe79c2aa66d4358ddbd1f7eca78e771a",
+    "restart-ok": "63e97673ca4a47e01c191346e1415471f33cdedb8e7fca322de2142ed1986367",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SNAPSHOT_HASHES))
+def test_bundled_scenario_last_snapshot_is_pinned(name):
+    sim = OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "%s.json" % name)))
+    sim.run()
+    snapshot = sim.registry.latest_snapshot
+    assert snapshot.tree_edges and snapshot.links
+    document = snapshot_to_json(snapshot).encode()
+    assert hashlib.sha256(document).hexdigest() == BUNDLED_SNAPSHOT_HASHES[name]
 
 
 def test_sim_run_trace_file_hashes_to_the_printed_trace_hash(tmp_path, capsys):
