@@ -5,12 +5,18 @@ filters, the installed distribution tree and the last published routing
 tables. Callers feed it link measurements and call ``cycle`` on the
 optimizer period, which builds its graph from the registry alone: the live
 reflectors that are not Failed, and the link records, whose quality is the
-filter value ``observe_link`` stored. How tables reach reflectors (the
-transport) is injected, so the same loop runs inside the deterministic
-simulator and against real sockets.
+filter value ``observe_link`` stored.
+
+The ControlPlane is the only owner of routing installs: each install takes
+the next epoch (1, 2, ...) and pushes every table, in ascending reflector
+id order, through the transport. A push that raises is a failure of that
+reflector, recorded in the install's DeliveryReport and counted by the
+supervisor, never an error. The transport is injected, so the same loop
+runs inside the deterministic simulator and against real sockets.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .config import OverlayConfig
@@ -27,8 +33,17 @@ from .optimizer import (
 )
 from .quality import QualityFactor, raw_quality, update_ewma
 from .reflector import RoutingTable
-from .registry import DeliveryReport, FlowSummary, Registry, RegistryEntry
+from .registry import FlowSummary, Registry, RegistryEntry
 from .supervisor import HealthState, Supervisor
+
+
+@dataclass
+class DeliveryReport:
+    """Outcome of one routing install."""
+
+    epoch: int
+    acks: list = field(default_factory=list)
+    failures: dict = field(default_factory=dict)  # ReflectorId -> reason string
 
 
 class ControlPlane:
@@ -49,6 +64,7 @@ class ControlPlane:
         self.filters: dict = {}  # link key -> QualityFactor; outlives dropped links
         self.tree: Optional[TreeResult] = None
         self.tables: dict = {}   # reflector id -> last published RoutingTable
+        self.epoch = 0           # epoch of the last install; 0 before the first
 
     def observe_link(self, stats: LinkStats) -> QualityFactor:
         """Fold one link measurement into its filter and report it."""
@@ -121,16 +137,21 @@ class ControlPlane:
         return done
 
     def _install(self, tree: TreeResult) -> DeliveryReport:
-        epoch = self.registry.routing_epoch + 1
+        self.epoch += 1
         members_by_room = {}
         for room, hosts in self.registry.room_members().items():
             on_tree = hosts & tree.covers
             if on_tree:
                 members_by_room[room] = on_tree
-        self.tables = compute_room_routes(tree, members_by_room, epoch)
-        report = self.registry.publish_routing(self.tables, self.transport)
-        for rid in sorted(report.failures):
-            self.supervisor.note_unreachable(rid)
+        self.tables = compute_room_routes(tree, members_by_room, self.epoch)
+        report = DeliveryReport(epoch=self.epoch)
+        for rid in sorted(self.tables):
+            try:
+                self.transport(rid, self.tables[rid])
+                report.acks.append(rid)
+            except Exception as exc:  # delivery failure is data, not an error
+                report.failures[rid] = "%s: %s" % (type(exc).__name__, exc)
+                self.supervisor.note_unreachable(rid)
         self.registry.set_tree(tree.edges)
         self.tree = tree
         return report

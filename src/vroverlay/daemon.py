@@ -392,7 +392,7 @@ class RegistryDaemon:
             sample = metric_sample_from_event(msg)
             self.monitor.record([sample, *self._derive_link(sample)])
         elif kind == "probe":
-            conn.send_msg(make_probe_reply(0, self.registry.routing_epoch))
+            conn.send_msg(make_probe_reply(0, self.control.epoch))
         else:
             conn.send_msg(make_ack(False, error="unsupported kind %r" % kind))
 

@@ -68,10 +68,6 @@ class UnknownReflector(OverlayError):
     pass
 
 
-class EpochConflict(OverlayError):
-    pass
-
-
 # --- monitoring ---
 
 class BadPattern(OverlayError):

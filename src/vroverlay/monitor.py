@@ -86,7 +86,6 @@ class Subscription:
         min_interval_ms: float = 0.0,
     ):
         self.id = sub_id
-        self.pattern = pattern
         self._regex = compile_pattern(pattern)
         self.deliver = deliver
         self.reflectors = frozenset(reflectors) if reflectors is not None else None

@@ -1,8 +1,9 @@
-"""Registry and control plane for the overlay.
+"""Registry of the overlay's reported state.
 
 One logical writer owns the registry: reflectors register, heartbeat,
-and advertise their room membership here; the optimizer feeds back the
-installed distribution tree and gateway-flow diagnostics. Entries fall out
+and advertise their room membership here; the control plane reports link
+records, the installed distribution tree and gateway-flow diagnostics.
+Numbering and pushing routing tables is the ControlPlane's. Entries fall out
 of snapshots once silent longer than the liveness timeout (default three
 heartbeat intervals). The owner publishes a snapshot on a fixed interval and
 hands it to its subscribers, so a freshly registered reflector becomes
@@ -10,13 +11,12 @@ visible within one publish interval.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Optional
 
-from .errors import DuplicateId, EpochConflict, UnknownReflector
+from .errors import DuplicateId, UnknownReflector
 from .model import LinkKey, LinkStats, ReflectorId, RoomId, link_key
 from .quality import QualityFactor
-from .reflector import RoutingTable
 
 DEFAULT_HEARTBEAT_INTERVAL_MS = 10_000.0
 DEFAULT_LIVENESS_INTERVALS = 3
@@ -67,15 +67,6 @@ class TopologySnapshot:
     flow: Optional[FlowSummary] = None
 
 
-@dataclass
-class DeliveryReport:
-    """Outcome of one routing publication."""
-
-    epoch: int
-    acks: list = field(default_factory=list)
-    failures: dict = field(default_factory=dict)  # ReflectorId -> reason string
-
-
 class Registry:
     """In-process registry with heartbeat leasing and snapshot publication."""
 
@@ -91,7 +82,6 @@ class Registry:
         self._tree_edges: frozenset = frozenset()
         self._flow: Optional[FlowSummary] = None
         self._snapshot_epoch = 0
-        self._routing_epoch = 0
         self._latest: Optional[TopologySnapshot] = None
 
     # --- membership of the overlay itself ---
@@ -185,7 +175,6 @@ class Registry:
 
     def build_snapshot(self) -> TopologySnapshot:
         """Consistent view of the current state under the next epoch."""
-        live = frozenset(self._entries)
         room_members = {
             room: frozenset(members)
             for room, members in sorted(self.room_members().items())
@@ -194,7 +183,7 @@ class Registry:
             epoch=self._snapshot_epoch + 1,
             reflectors=tuple(replace(e) for e in self.entries()),
             links=tuple(self.links()),
-            tree_edges=frozenset(e for e in self._tree_edges if e[0] in live and e[1] in live),
+            tree_edges=self._tree_edges,
             room_members=room_members,
             flow=self._flow,
         )
@@ -210,42 +199,3 @@ class Registry:
     @property
     def latest_snapshot(self) -> Optional[TopologySnapshot]:
         return self._latest
-
-    # --- routing distribution ---
-
-    @property
-    def routing_epoch(self) -> int:
-        return self._routing_epoch
-
-    def publish_routing(
-        self,
-        tables: Mapping[ReflectorId, RoutingTable],
-        transport: Callable[[ReflectorId, RoutingTable], None],
-    ) -> DeliveryReport:
-        """Push one epoch's tables to every live reflector that has one.
-
-        All tables must share a single epoch newer than the last published;
-        per-reflector delivery failures are reported, not raised.
-        """
-        if not tables:
-            raise ValueError("no tables to publish")
-        epochs = {t.epoch for t in tables.values()}
-        if len(epochs) != 1:
-            raise EpochConflict("tables span multiple epochs: %s" % sorted(epochs))
-        epoch = epochs.pop()
-        if epoch <= self._routing_epoch:
-            raise EpochConflict(
-                "epoch %d is not newer than last published %d" % (epoch, self._routing_epoch)
-            )
-        report = DeliveryReport(epoch=epoch)
-        for rid in sorted(tables):
-            if rid not in self._entries:
-                report.failures[rid] = "not registered"
-                continue
-            try:
-                transport(rid, tables[rid])
-                report.acks.append(rid)
-            except Exception as exc:  # delivery failure is data, not an error
-                report.failures[rid] = "%s: %s" % (type(exc).__name__, exc)
-        self._routing_epoch = epoch
-        return report

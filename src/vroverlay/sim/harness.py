@@ -20,8 +20,8 @@ client, and any end-of-run expectations the scenario declares.
 
 The trace is encoded and hashed while the run goes: every 256 events
 become JSON lines (`json.dumps(event, sort_keys=True)` each), feed one
-running sha256 and are kept only as that text. `SimReport.trace` is a
-read-only sequence over the text that decodes each event when it is read;
+running sha256 and are kept only as that text. `SimReport.trace` is an
+iterable over the text that decodes each event as it is reached;
 `trace_hash()` is the running digest and `write_trace` (`sim run --trace
 FILE`) writes the stored text, so the file hashes to the printed hash.
 """
@@ -30,9 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -132,21 +130,20 @@ def _trace_line(event: dict, templates: dict) -> str:
     return json.dumps(event, sort_keys=True)
 
 
-class _TraceLog(Sequence):
+class _TraceLog:
     """The run's trace, kept only as the JSON-lines text that `write_trace` writes.
 
     Events wait in a list until `_CHUNK_EVENTS` have come, then are encoded
     with `_trace_line`, fed to a running sha256 and stored as one `bytes`
     chunk, so no event dict outlives its chunk and the hash needs no second
-    pass. Reading (`len`, iteration, integer indexing) decodes lines with
-    `json.loads`; the encoder is exactly `json.dumps(sort_keys=True)`, so a
-    decoded event equals the traced one.
+    pass. Iterating decodes lines with `json.loads`; the encoder is exactly
+    `json.dumps(sort_keys=True)`, so a decoded event equals the traced one.
     """
 
     def __init__(self):
         self._pending: list = []    # events not yet encoded
         self._chunks: list = []     # bytes, one line per event
-        self._ends: list = []       # events in _chunks[:i + 1]
+        self._encoded = 0           # events in _chunks
         self._digest = hashlib.sha256()
         self._templates: dict = {}
 
@@ -164,7 +161,7 @@ class _TraceLog(Sequence):
             chunk = (text + "\n").encode()
             self._digest.update(chunk)
             self._chunks.append(chunk)
-            self._ends.append(len(self))
+            self._encoded += len(self._pending)
             self._pending.clear()
 
     def hexdigest(self) -> str:
@@ -177,17 +174,7 @@ class _TraceLog(Sequence):
             fh.write(chunk.decode())
 
     def __len__(self) -> int:
-        return (self._ends[-1] if self._ends else 0) + len(self._pending)
-
-    def __getitem__(self, index: int) -> dict:
-        self.flush()
-        size = len(self)
-        at = index + size if index < 0 else index
-        if not 0 <= at < size:
-            raise IndexError("trace index %d out of range" % index)
-        i = bisect_right(self._ends, at)
-        line = at - (self._ends[i - 1] if i else 0)
-        return json.loads(self._chunks[i].split(b"\n", line + 1)[line])
+        return self._encoded + len(self._pending)
 
     def __iter__(self):
         self.flush()
@@ -560,16 +547,6 @@ class OverlaySim:
         )
         self._trace("inject", room=event.room, src=event.src, seq=seq, reflector=home)
         self._forward_at(node, packet, NO_ID, trail=(home,))
-
-    def inject_packet(self, packet: MediaPacket, expected=None) -> None:
-        """Drive one explicit packet from its origin client (test hook)."""
-        home = self.client_home[packet.src]
-        self.media.injected += 1
-        self.delivered_to[packet.key()] = {}
-        if expected is not None:
-            self.expected_receivers[packet.key()] = frozenset(expected)
-        self._trace("inject", room=packet.room, src=packet.src, seq=packet.seq, reflector=home)
-        self._forward_at(self.nodes[home], packet, NO_ID, trail=(home,))
 
     def _forward_at(self, node: SimNode, packet: MediaPacket, from_peer: int, trail) -> None:
         epoch = node.engine.routing.epoch

@@ -50,7 +50,6 @@ class HealthRecord:
     state: HealthState = HealthState.UP
     missed: int = 0             # consecutive missed probes while Up/Unresponsive
     restart_attempts: int = 0   # attempts since the reflector was last Up
-    last_probe_ok: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class Supervisor:
                 record.state = HealthState.UP
                 record.missed = 0
                 record.restart_attempts = 0
-                record.last_probe_ok = now
                 continue
             if record.state in (HealthState.UP, HealthState.UNRESPONSIVE):
                 record.missed += 1

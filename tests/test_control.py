@@ -55,6 +55,20 @@ def test_registering_again_clears_failed():
     assert 3 in control.supervisor.probe_targets()
 
 
+def test_installs_number_epochs_and_push_tables_in_id_order():
+    pushed = []
+    control = control_plane(lambda rid, table: pushed.append((rid, table.epoch)))
+    assert control.epoch == 0
+    report = control.cycle(0.0)
+    assert (report.epoch, report.acks, report.failures) == (1, [1, 2, 3], {})
+    assert control.cycle(1.0) is None  # same tree: no install, no epoch
+    control.deregister(3)
+    report = control.cycle(2.0)
+    assert (report.epoch, report.acks, report.failures) == (2, [1, 2], {})
+    assert control.epoch == 2
+    assert pushed == [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
+
+
 def test_raising_transport_counts_failure_and_unreachable():
     def transport(rid, table):
         if rid == 2:

@@ -144,21 +144,13 @@ def test_sim_run_trace_file_hashes_to_the_printed_trace_hash(tmp_path, capsys):
         assert printed == ["trace hash: %s" % hashlib.sha256(out_path.read_bytes()).hexdigest()]
 
 
-# --- the trace as a read-only view over its text ---
+# --- the trace as an iterable over its text ---
 
 def check_trace_view(trace, path):
     """`trace` reads back exactly the lines written to `path`."""
     events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert len(trace) == len(events) > 0
     assert list(trace) == events
-    assert trace[0] == events[0]
-    assert trace[-1] == events[-1]
-    for i in sorted({len(events) // 2, _CHUNK_EVENTS - 1, _CHUNK_EVENTS, _CHUNK_EVENTS + 1}):
-        if i < len(events):
-            assert trace[i] == events[i] == trace[i - len(events)]
-    for i in (len(events), -len(events) - 1):
-        with pytest.raises(IndexError):
-            trace[i]
 
 
 def write_trace_file(report, path):
@@ -429,7 +421,7 @@ def test_partition_heals_and_resyncs_routing():
     )
     sim = OverlaySim(load_scenario(doc))
     report = sim.run()
-    assert sim.nodes[3].engine.routing.epoch == sim.registry.routing_epoch
+    assert sim.nodes[3].engine.routing.epoch == sim.control.epoch
     resyncs = [e for e in report.trace if e["kind"] == "resync_routing"]
     installs = [e for e in report.trace if e["kind"] == "routing"]
     assert resyncs or installs[-1]["acks"] == 3

@@ -1,10 +1,9 @@
-"""Registry: leasing, advertisement, snapshots, routing distribution."""
+"""Registry: leasing, advertisement, link records, snapshots."""
 import pytest
 
-from vroverlay.errors import DuplicateId, EpochConflict, UnknownReflector
+from vroverlay.errors import DuplicateId, UnknownReflector
 from vroverlay.model import LinkStats
 from vroverlay.quality import QualityFactor
-from vroverlay.reflector import RoutingTable
 from vroverlay.registry import Registry, RegistryEntry
 
 
@@ -153,58 +152,3 @@ def test_deregister_removes_entry():
     assert not reg.is_live(1)
     with pytest.raises(UnknownReflector):
         reg.deregister(1)
-
-
-# --- routing distribution ---
-
-def tables_for(epoch, rids):
-    return {rid: RoutingTable(epoch=epoch) for rid in rids}
-
-
-def test_publish_routing_all_reachable():
-    reg = Registry()
-    for rid in (1, 2, 3):
-        reg.register(entry(rid))
-    installed = []
-    report = reg.publish_routing(
-        tables_for(1, (1, 2, 3)), lambda rid, table: installed.append((rid, table.epoch))
-    )
-    assert report.acks == [1, 2, 3]
-    assert report.failures == {}
-    assert installed == [(1, 1), (2, 1), (3, 1)]
-    assert reg.routing_epoch == 1
-
-
-def test_publish_routing_partial_failure_reported():
-    reg = Registry()
-    for rid in (1, 2, 3):
-        reg.register(entry(rid))
-
-    def transport(rid, table):
-        if rid == 2:
-            raise ConnectionError("partitioned")
-
-    report = reg.publish_routing(tables_for(1, (1, 2, 3)), transport)
-    assert report.acks == [1, 3]
-    assert list(report.failures) == [2]
-    assert "partitioned" in report.failures[2]
-
-
-def test_publish_routing_epoch_conflict():
-    reg = Registry()
-    reg.register(entry(1))
-    reg.publish_routing(tables_for(1, (1,)), lambda rid, t: None)
-    with pytest.raises(EpochConflict):
-        reg.publish_routing(tables_for(1, (1,)), lambda rid, t: None)
-    with pytest.raises(EpochConflict):
-        reg.publish_routing(
-            {1: RoutingTable(epoch=2), 2: RoutingTable(epoch=3)}, lambda rid, t: None
-        )
-
-
-def test_publish_routing_unregistered_target_fails_in_report():
-    reg = Registry()
-    reg.register(entry(1))
-    report = reg.publish_routing(tables_for(1, (1, 9)), lambda rid, t: None)
-    assert report.acks == [1]
-    assert report.failures == {9: "not registered"}
