@@ -11,8 +11,10 @@ over links derived from uplinked peer metrics.
 
 A reflector daemon keeps one control connection to the registry, serves a
 media port where clients and peer reflectors connect (one JSON hello line,
-then framed media packets), applies pushed routing tables, and uplinks its
-monitoring samples every collection interval.
+then framed media packets, relayed as they arrived after one header check),
+applies pushed routing tables, advertises its rooms once per client hello
+and once per client disconnect, and uplinks its monitoring samples every
+collection interval.
 
 Each daemon runs its sockets and timers on one selectors loop thread, so
 the registry, control plane and reflector engine see one caller at a time
@@ -73,7 +75,7 @@ from .protocol import (
 from .reflector import ReflectorEngine
 from .registry import RegistryEntry
 from .supervisor import NotificationEvent, ProbeResult, RestartCommand
-from .wire import HEADER_SIZE, read_media_packet
+from .wire import HEADER_SIZE, read_header
 
 log = logging.getLogger("vroverlay.daemon")
 
@@ -479,7 +481,7 @@ class ReflectorDaemon:
         if config.reflector_id < 1:
             raise ConfigError("reflector_id must be set (>= 1)")
         self.config = config
-        self.engine = ReflectorEngine(config.reflector_id, on_membership_change=self._advertise)
+        self.engine = ReflectorEngine(config.reflector_id)
         self.collector = MetricCollector(config.reflector_id, started_at=now_ms())
         self.peers = dict(peers or {})      # peer id -> "host:port"
         self._peer_conns: dict = {}         # peer id -> _Conn carrying media
@@ -556,8 +558,10 @@ class ReflectorDaemon:
                 except OverlayError as exc:
                     log.warning("rejected routing table: %s", exc)
 
-    def _advertise(self, rooms) -> None:
-        self._control.send_msg(make_advertise(self.config.reflector_id, rooms))
+    def _advertise(self) -> None:
+        """Send the whole room set; each membership change sends it once."""
+        self._control.send_msg(make_advertise(self.config.reflector_id,
+                                              self.engine.local_rooms()))
 
     def _heartbeat(self) -> None:
         self._control.send_msg(make_heartbeat(self.config.reflector_id, now_ms()))
@@ -631,6 +635,7 @@ class ReflectorDaemon:
             self.engine.attach_client(client, conn)
             for room in hello.get("rooms", ()):
                 self.engine.join_room(client, room)
+            self._advertise()
             conn.on_data = partial(self._on_media, NO_ID, client)
             conn.on_close = partial(self._drop_client, client)
         elif role == "peer":
@@ -644,34 +649,37 @@ class ReflectorDaemon:
         conn.on_data(conn)  # frames that came with the hello
 
     def _on_media(self, from_peer: int, sender: Optional[int], conn: _Conn) -> None:
-        """Validate each whole frame, then relay its original bytes.
+        """Check each whole frame's header, then relay its original bytes.
 
-        A client connection may send only under the id it said hello with;
-        a frame with another `src` is dropped and counted in
-        `src_mismatch_drops`, and the connection stays open. Peer
-        connections (`sender` None) relay any `src`.
+        The header is read in place (wire.read_header): no packet is built,
+        and each relayed frame is copied once, into the bytes every
+        destination shares. A client connection may send only under the id
+        it said hello with; a frame with another `src` is dropped and
+        counted in `src_mismatch_drops`, and the connection stays open.
+        Peer connections (`sender` None) relay any `src`.
         """
         buf = conn.inbuf
         offset = 0
-        while len(buf) - offset >= HEADER_SIZE:
-            try:
-                packet, end = read_media_packet(buf, offset)
-            except Truncated:
-                break
-            start, offset = offset, end
-            if sender is not None and packet.src != sender:
-                self.src_mismatch_drops += 1
-                continue
-            frame = bytes(buf[start:end])
-            clients, peers = self.engine.forward(packet, from_peer)
-            for client in clients:
-                dest = self.engine.endpoint(client)
-                if dest is not None:
-                    dest.send(frame)
-            for peer in peers:
-                dest = self._peer_conn(peer)
-                if dest is not None:
-                    dest.send(frame)
+        with memoryview(buf) as view:  # released before the consumed bytes are cut
+            while len(buf) - offset >= HEADER_SIZE:
+                try:
+                    room, src, _, _, _, _, end = read_header(buf, offset)
+                except Truncated:
+                    break
+                start, offset = offset, end
+                if sender is not None and src != sender:
+                    self.src_mismatch_drops += 1
+                    continue
+                frame = bytes(view[start:end])
+                clients, peers = self.engine.forward(room, src, end - start, from_peer)
+                for client in clients:
+                    dest = self.engine.endpoint(client)
+                    if dest is not None:
+                        dest.send(frame)
+                for peer in peers:
+                    dest = self._peer_conn(peer)
+                    if dest is not None:
+                        dest.send(frame)
         del buf[:offset]
 
     def _peer_conn(self, peer: int) -> Optional[_Conn]:
@@ -688,6 +696,7 @@ class ReflectorDaemon:
         # A later hello with the same id took over the endpoint: keep the client.
         if self.engine.endpoint(client) is conn:
             self.engine.detach_client(client)
+            self._advertise()
 
     def _drop_peer(self, peer: int, conn: _Conn) -> None:
         if self._peer_conns.get(peer) is conn:

@@ -65,10 +65,6 @@ class MediaPacket:
     flags: int = 0
     payload: bytes = b""
 
-    def key(self) -> tuple:
-        """Identity of the packet inside one overlay: (room, src, seq)."""
-        return (self.room, self.src, self.seq)
-
 
 @dataclass(frozen=True)
 class LinkStats:

@@ -255,12 +255,14 @@ class MonitorService:
         reflectors: Optional[Iterable[ReflectorId]] = None,
         min_interval_ms: float = 0.0,
     ) -> Subscription:
-        """Attach a subscriber; current heads of matching series are delivered first."""
+        """Attach a subscriber, then deliver it the current heads of matching series."""
         sub = Subscription(next(self._next_sub), pattern, deliver, reflectors, min_interval_ms)
+        self._subs[sub.id] = sub
         for sample in self.store.heads():
             if sub.matches(sample):
+                if sub.id not in self._subs:  # a delivery unsubscribed it
+                    break
                 sub.offer(sample)
-        self._subs[sub.id] = sub
         return sub
 
     def unsubscribe(self, sub_id: int) -> None:

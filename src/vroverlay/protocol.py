@@ -83,7 +83,7 @@ FIELD_TYPES = {
     "region": _STRING,
     "filter": _STRING,
     "event": _STRING,
-    "name": _STRING,
+    "name": ("a non-empty string", lambda v: type(v) is str and v != ""),
     "reason": _STRING,
     "role": _STRING,
     "error": _STRING,

@@ -6,12 +6,14 @@ optimizer. Forwarding never loops and never echoes a packet
 back to its origin client or its ingress peer; loop freedom across the
 overlay comes from the tree discipline of the installed routes.
 
-forward() takes a packet and the id of the peer it came from (NO_ID for a
-packet from a local client) and returns two ascending id lists: the local
-clients to deliver to and the peers to send to. It reads the routing table
-through a single reference, so each hop uses one whole table. That holds
-per hop only: an epoch swap between two hops can route one packet under the
-old table at one reflector and the new table at the next. Membership
+forward() takes a packet's room, origin client and size on the wire, plus
+the id of the peer it came from (NO_ID for a packet from a local client),
+and returns two ascending id lists: the local clients to deliver to and the
+peers to send to. It reads the routing table through a single reference,
+so each hop uses one whole table. That holds per hop only: an epoch swap
+between two hops can route one packet under the old table at one reflector
+and the new table at the next. The engine reports no membership change; its
+owner advertises local_rooms() after it changes membership. Membership
 mutations are expected to be serialized by the caller; the reflector daemon
 makes every engine call from its one loop thread, so callers are serialized
 by construction.
@@ -19,11 +21,10 @@ by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Mapping
 
 from .errors import NotAMember, StaleEpoch, UnknownClient
-from .model import NO_ID, ClientId, MediaPacket, ReflectorId, RoomId
-from .wire import HEADER_SIZE
+from .model import NO_ID, ClientId, ReflectorId, RoomId
 
 
 @dataclass(frozen=True)
@@ -55,17 +56,12 @@ class ForwardCounters:
 class ReflectorEngine:
     """One reflector's rooms, routing table, and forwarder."""
 
-    def __init__(
-        self,
-        reflector_id: ReflectorId,
-        on_membership_change: Optional[Callable[[set], None]] = None,
-    ):
+    def __init__(self, reflector_id: ReflectorId):
         self.reflector_id = reflector_id
         self.counters = ForwardCounters()
         self._clients: dict = {}            # ClientId -> delivery endpoint handle
         self._rooms: dict = {}              # RoomId -> set of ClientId
         self._routing: RoutingTable = EMPTY_ROUTING
-        self._on_membership_change = on_membership_change
 
     # --- client / room membership ---
 
@@ -86,10 +82,7 @@ class ReflectorEngine:
         """Add a connected client to a room; a repeat join changes nothing."""
         if client not in self._clients:
             raise UnknownClient("client %d is not connected to reflector %d" % (client, self.reflector_id))
-        members = self._rooms.setdefault(room, set())
-        if client not in members:
-            members.add(client)
-            self._membership_changed()
+        self._rooms.setdefault(room, set()).add(client)
 
     def leave_room(self, client: ClientId, room: RoomId) -> None:
         """Remove a client from a room; deletes the room when it empties."""
@@ -99,7 +92,6 @@ class ReflectorEngine:
         members.remove(client)
         if not members:
             del self._rooms[room]
-        self._membership_changed()
 
     def local_rooms(self) -> set:
         """Rooms with at least one local member (advertised to the control plane)."""
@@ -110,10 +102,6 @@ class ReflectorEngine:
 
     def room_count(self) -> int:
         return len(self._rooms)
-
-    def _membership_changed(self) -> None:
-        if self._on_membership_change is not None:
-            self._on_membership_change(self.local_rooms())
 
     # --- routing ---
 
@@ -131,27 +119,28 @@ class ReflectorEngine:
 
     # --- forwarding ---
 
-    def forward(self, p: MediaPacket, from_peer: ReflectorId = NO_ID) -> tuple:
+    def forward(self, room: RoomId, src: ClientId, nbytes: int,
+                from_peer: ReflectorId = NO_ID) -> tuple:
         """Destinations of one packet: (clients, peers), each an ascending id list.
 
         Clients are the room's local members minus the origin client
-        (``p.src``); peers are the room's pruned peer egress minus
+        ``src``; peers are the room's pruned peer egress minus
         ``from_peer``, the ingress peer (NO_ID for a packet from a local
-        client). Packets for rooms this reflector knows nothing about are
+        client). ``nbytes``, the frame's size on the wire, feeds the byte
+        counters. Packets for rooms this reflector knows nothing about are
         counted and dropped, not errored.
         """
         routing = self._routing  # one read: this hop sees exactly one table
-        members = self._rooms.get(p.room)
-        peer_egress = routing.room_egress.get(p.room)
-        wire_bytes = HEADER_SIZE + len(p.payload)
+        members = self._rooms.get(room)
+        peer_egress = routing.room_egress.get(room)
         self.counters.packets_in += 1
-        self.counters.bytes_in += wire_bytes
+        self.counters.bytes_in += nbytes
         if members is None and peer_egress is None:
             self.counters.unknown_room_drops += 1
             return [], []
-        clients = sorted(c for c in members if c != p.src) if members else []
+        clients = sorted(c for c in members if c != src) if members else []
         peers = sorted(r for r in peer_egress if r != from_peer) if peer_egress else []
         sent = len(clients) + len(peers)
         self.counters.packets_out += sent
-        self.counters.bytes_out += wire_bytes * sent
+        self.counters.bytes_out += nbytes * sent
         return clients, peers

@@ -37,7 +37,7 @@ from operator import itemgetter
 from ..config import OverlayConfig, apply_overrides
 from ..control import ControlPlane
 from ..errors import LinkDown, OverlayError, RegistryUnreachable
-from ..model import NO_ID, LinkStats, MediaPacket
+from ..model import NO_ID, LinkStats
 from ..monitor import MetricCollector, MonitorService
 from ..reflector import ReflectorEngine
 from ..registry import RegistryEntry
@@ -307,11 +307,10 @@ class OverlaySim:
     # --- construction helpers ---
 
     def _create_node(self, rid: int, region: str, register_at: float) -> SimNode:
-        engine = ReflectorEngine(rid, on_membership_change=lambda rooms, r=rid: self._advertise(r))
         node = SimNode(
             id=rid,
             region=region,
-            engine=engine,
+            engine=ReflectorEngine(rid),
             collector=MetricCollector(rid, load_sampler=_synthetic_load, started_at=register_at),
         )
         self.nodes[rid] = node
@@ -529,100 +528,79 @@ class OverlaySim:
             self.media.inject_skipped += 1
             self._trace("inject_skipped", room=event.room, src=event.src, reflector=home)
             return
-        key = (event.room, event.src)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
-        packet = MediaPacket(
-            room=event.room,
-            src=event.src,
-            seq=seq,
-            timestamp_ms=int(self.loop.now) & 0xFFFFFFFF,
-            payload_type=event.payload_type,
-            payload=b"\x00" * event.payload_bytes,
-        )
+        stream = (event.room, event.src)
+        seq = self._seq.get(stream, 0) + 1
+        self._seq[stream] = seq
+        packet = (event.room, event.src, seq)
         self.media.injected += 1
-        self.delivered_to[packet.key()] = {}
-        self.expected_receivers[packet.key()] = frozenset(
-            self.room_clients[event.room] - {event.src}
-        )
+        self.delivered_to[packet] = {}
+        self.expected_receivers[packet] = frozenset(self.room_clients[event.room] - {event.src})
         self._trace("inject", room=event.room, src=event.src, seq=seq, reflector=home)
-        self._forward_at(node, packet, NO_ID, trail=(home,))
+        self._forward_at(node, packet, HEADER_SIZE + event.payload_bytes, NO_ID, trail=(home,))
 
-    def _forward_at(self, node: SimNode, packet: MediaPacket, from_peer: int, trail) -> None:
+    # A packet in flight is its (room, src, seq) key plus its size on the wire.
+
+    def _forward_at(self, node: SimNode, packet: tuple, nbytes: int, from_peer: int,
+                    trail) -> None:
+        room, src, seq = packet
         epoch = node.engine.routing.epoch
-        clients, peers = node.engine.forward(packet, from_peer)
+        clients, peers = node.engine.forward(room, src, nbytes, from_peer)
         self._trace(
             "forward",
             reflector=node.id,
-            room=packet.room,
-            src=packet.src,
-            seq=packet.seq,
+            room=room,
+            src=src,
+            seq=seq,
             epoch=epoch,
             fanout=len(clients) + len(peers),
         )
         for client in clients:
             self._deliver_local(node, packet, client)
         for peer in peers:
-            self._send_peer(node, packet, peer, trail)
+            self._send_peer(node, packet, nbytes, peer, trail)
 
-    def _deliver_local(self, node: SimNode, packet: MediaPacket, client: int) -> None:
-        counts = self.delivered_to.setdefault(packet.key(), {})
+    def _deliver_local(self, node: SimNode, packet: tuple, client: int) -> None:
+        counts = self.delivered_to.setdefault(packet, {})
         counts[client] = counts.get(client, 0) + 1
         self.media.delivered += 1
         if counts[client] > 1:
-            self._violate(
-                "duplicate delivery of packet %s to client %d" % (packet.key(), client)
-            )
-        self._trace(
-            "deliver",
-            client=client,
-            reflector=node.id,
-            room=packet.room,
-            src=packet.src,
-            seq=packet.seq,
-        )
+            self._violate("duplicate delivery of packet %s to client %d" % (packet, client))
+        room, src, seq = packet
+        self._trace("deliver", client=client, reflector=node.id, room=room, src=src, seq=seq)
 
-    def _send_peer(self, node: SimNode, packet: MediaPacket, peer: int, trail) -> None:
-        nbytes = HEADER_SIZE + len(packet.payload)
+    def _send_peer(self, node: SimNode, packet: tuple, nbytes: int, peer: int, trail) -> None:
         try:
             at = self.net.transmit(
                 node.id,
                 peer,
                 nbytes,
-                lambda p=packet, frm=node.id, to=peer, tr=trail: self._receive_peer(
-                    to, p, frm, tr
-                ),
+                lambda: self._receive_peer(peer, packet, nbytes, node.id, trail),
             )
         except LinkDown:
             self.media.dropped_link_down += 1
-            self._trace(
-                "drop", reason="link_down", a=node.id, b=peer,
-                room=packet.room, src=packet.src, seq=packet.seq,
-            )
+            self._trace_drop("link_down", node.id, peer, packet)
             return
         if at is None:
             self.media.lost_links += 1
-            self._trace(
-                "drop", reason="loss", a=node.id, b=peer,
-                room=packet.room, src=packet.src, seq=packet.seq,
-            )
+            self._trace_drop("loss", node.id, peer, packet)
 
-    def _receive_peer(self, rid: int, packet: MediaPacket, from_rid: int, trail) -> None:
+    def _receive_peer(self, rid: int, packet: tuple, nbytes: int, from_rid: int, trail) -> None:
         node = self.nodes[rid]
         if not node.alive:
             self.media.dropped_dead_peer += 1
-            self._trace(
-                "drop", reason="dead_peer", a=from_rid, b=rid,
-                room=packet.room, src=packet.src, seq=packet.seq,
-            )
+            self._trace_drop("dead_peer", from_rid, rid, packet)
             return
         if rid in trail:
             self._violate(
                 "routing loop: packet %s revisited reflector %d (trail %s)"
-                % (packet.key(), rid, list(trail))
+                % (packet, rid, list(trail))
             )
             return
-        self._forward_at(node, packet, from_rid, trail + (rid,))
+        self._forward_at(node, packet, nbytes, from_rid, trail + (rid,))
+
+    def _trace_drop(self, reason: str, a: int, b: int, packet: tuple) -> None:
+        room, src, seq = packet
+        self._trace("drop", reason=reason, a=a, b=b, room=room, src=src, seq=seq)
 
     # --- running and reporting ---
 

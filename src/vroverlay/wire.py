@@ -17,6 +17,8 @@ Fixed big-endian layout, 24-byte header followed by the payload:
 
 Encoding and decoding are pure functions; decode(encode(p)) == p for every
 encodable packet, and distinct packets encode to distinct byte strings.
+read_header makes every check the decoder makes and returns the plain
+header fields, so a relay can forward a frame's original bytes unparsed.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ HEADER_SIZE = _HEADER.size
 assert HEADER_SIZE == 24
 
 MAX_PAYLOAD = 0xFFFF
+_PAYLOAD_TAGS = frozenset(map(int, PayloadType))
 
 
 def encode_media_packet(p: MediaPacket) -> bytes:
@@ -87,6 +90,19 @@ def decode_media_packet(buf: bytes, strict: bool = False) -> MediaPacket:
 
 def read_media_packet(buf: bytes, offset: int = 0) -> tuple[MediaPacket, int]:
     """Parse one packet starting at ``offset``; returns (packet, next offset)."""
+    room, src, seq, ts, tag, flags, end = read_header(buf, offset)
+    payload = bytes(buf[offset + HEADER_SIZE : end])
+    return MediaPacket(room, src, seq, ts, PayloadType(tag), flags, payload), end
+
+
+def read_header(buf: bytes, offset: int = 0) -> tuple:
+    """Check the frame at ``offset`` without building a packet or copying its payload.
+
+    Returns (room, src, seq, timestamp_ms, payload_type, flags, end), where
+    payload_type is the plain tag and ``end`` the offset past the payload.
+    Raises Truncated while the header or the declared payload is incomplete,
+    and BadMagic, BadVersion, BadFrameType or BadPayloadTag as the decoder does.
+    """
     if len(buf) - offset < HEADER_SIZE:
         raise Truncated("need %d header bytes, have %d" % (HEADER_SIZE, len(buf) - offset))
     magic, version, frame_type, room, src, seq, ts, tag, flags, payload_len = _HEADER.unpack_from(
@@ -98,27 +114,15 @@ def read_media_packet(buf: bytes, offset: int = 0) -> tuple[MediaPacket, int]:
         raise BadVersion("expected version %d, got %d" % (VERSION, version))
     if frame_type != FRAME_MEDIA:
         raise BadFrameType("expected frame type %d, got %d" % (FRAME_MEDIA, frame_type))
-    try:
-        payload_type = PayloadType(tag)
-    except ValueError:
-        raise BadPayloadTag("unknown payload type tag %d" % tag) from None
+    if tag not in _PAYLOAD_TAGS:
+        raise BadPayloadTag("unknown payload type tag %d" % tag)
     end = offset + HEADER_SIZE + payload_len
     if len(buf) < end:
         raise Truncated(
             "declared %d payload bytes, only %d present"
             % (payload_len, len(buf) - offset - HEADER_SIZE)
         )
-    payload = bytes(buf[offset + HEADER_SIZE : end])
-    packet = MediaPacket(
-        room=room,
-        src=src,
-        seq=seq,
-        timestamp_ms=ts,
-        payload_type=payload_type,
-        flags=flags,
-        payload=payload,
-    )
-    return packet, end
+    return room, src, seq, ts, tag, flags, end
 
 
 def frame_size(buf: bytes, offset: int = 0) -> int | None:

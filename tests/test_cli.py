@@ -75,7 +75,8 @@ def test_sim_run_bad_schema_exit_two(tmp_path, capsys):
 
 
 def test_sim_run_bad_event_value_exit_two(tmp_path, capsys):
-    doc = json.loads(open(os.path.join(SCENARIOS, "line3.json")).read())
+    with open(os.path.join(SCENARIOS, "line3.json")) as f:
+        doc = json.load(f)
     doc["events"].insert(0, {"t": 500, "action": "set_link", "a": 1, "b": 2, "latency_ms": -5})
     path = tmp_path / "negative-latency.json"
     path.write_text(json.dumps(doc))
@@ -87,7 +88,8 @@ def test_sim_run_bad_event_value_exit_two(tmp_path, capsys):
 
 def test_sim_run_invariant_violation_exit_one(tmp_path, capsys):
     # Expecting two notifications when the scenario produces none fails the run.
-    doc = json.loads(open(os.path.join(SCENARIOS, "line3.json")).read())
+    with open(os.path.join(SCENARIOS, "line3.json")) as f:
+        doc = json.load(f)
     doc["expect"]["notifications"] = 2
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -145,7 +147,8 @@ def test_line3_trace_matches_golden_file(tmp_path):
                  "--trace", str(out_path)])
     assert code == EXIT_OK
     golden = os.path.join(os.path.dirname(__file__), "golden", "line3.trace.jsonl")
-    assert out_path.read_text() == open(golden).read()
+    with open(golden) as f:
+        assert out_path.read_text() == f.read()
 
 
 # --- topo export ---
@@ -231,8 +234,8 @@ def test_topo_export_mistyped_live_snapshot_exit_two(capsys):
 
     def answer_once():
         conn, _ = server.accept()
-        with conn:
-            conn.makefile("r").readline()
+        with conn, conn.makefile("r") as reader:
+            reader.readline()
             reply = {"v": 3, "kind": "snapshot", "epoch": 4,
                      "snapshot": mistyped("reflectors[0].id")}
             conn.sendall(encode_message(reply).encode("utf-8"))
@@ -293,27 +296,27 @@ def test_metrics_tail_quiet_stream_stops_on_signal(signum):
     # waits on an idle registry; it must do so at once, not at the next sample.
     daemon = RegistryDaemon(load_config(None, {}), listen="127.0.0.1:0")
     daemon.start()
-    proc = subprocess.Popen(
+    # The with block closes the pipes and reaps the process.
+    with subprocess.Popen(
         [sys.executable, "-m", "vroverlay.cli", "metrics", "tail",
          "--registry", registry_addr(daemon)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         cwd=os.path.join(os.path.dirname(__file__), ".."),
-    )
-    try:
-        deadline = time.time() + 10
-        while time.time() < deadline and not daemon._subscribers:
-            time.sleep(0.05)
-        assert daemon._subscribers, "tail never subscribed"
-        time.sleep(0.5)
-        proc.send_signal(signum)
-        assert proc.wait(timeout=2) == EXIT_OK, proc.stderr.read()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        daemon.stop()
+    ) as proc:
+        try:
+            deadline = time.time() + 10
+            while time.time() < deadline and not daemon._subscribers:
+                time.sleep(0.05)
+            assert daemon._subscribers, "tail never subscribed"
+            time.sleep(0.5)
+            proc.send_signal(signum)
+            assert proc.wait(timeout=2) == EXIT_OK, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            daemon.stop()
 
 
 def test_metrics_tail_streams_filtered_samples(registry, capsys):
@@ -397,29 +400,31 @@ def test_reflector_registry_unreachable_exit_four():
 
 def test_reflector_sigterm_deregisters_and_exits_zero(registry):
     addr = registry_addr(registry)
-    proc = subprocess.Popen(
+    # The with block closes the pipes and reaps the process.
+    with subprocess.Popen(
         [sys.executable, "-m", "vroverlay.cli", "run-reflector",
          "--id", "9", "--registry", addr, "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         cwd=os.path.join(os.path.dirname(__file__), ".."),
-    )
-    try:
-        deadline = time.time() + 10
-        while time.time() < deadline and not registry.registry.is_live(9):
-            time.sleep(0.1)
-        assert registry.registry.is_live(9), proc.stderr.read() if proc.poll() else "not registered"
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=10)
-        assert code == EXIT_OK
-        deadline = time.time() + 5
-        while time.time() < deadline and registry.registry.is_live(9):
-            time.sleep(0.1)
-        assert not registry.registry.is_live(9)  # deregistration message arrived
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    ) as proc:
+        try:
+            deadline = time.time() + 10
+            while time.time() < deadline and not registry.registry.is_live(9):
+                time.sleep(0.1)
+            assert registry.registry.is_live(9), (proc.stderr.read() if proc.poll()
+                                                  else "not registered")
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=10)
+            assert code == EXIT_OK
+            deadline = time.time() + 5
+            while time.time() < deadline and registry.registry.is_live(9):
+                time.sleep(0.1)
+            assert not registry.registry.is_live(9)  # deregistration message arrived
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def test_config_error_exit_two(tmp_path):

@@ -229,15 +229,18 @@ def test_mistyped_fields_are_nacked_and_spare_the_uplinking_reflector(registry):
     # A subscribe whose min_interval_ms is a string and a metric event whose
     # at is a string, both matching series that reflector 6 uplinks. Had
     # either been accepted, recording the reflector's next sample would
-    # raise and close its control connection.
+    # raise and close its control connection. A metric with an empty name
+    # would close the connection that sent it.
     other = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
     try:
         other.sendall(
             b'{"filter":"vrvs.*","kind":"subscribe","min_interval_ms":"x","v":3}\n'
             b'{"at":"x","event":"metric","kind":"event","name":"vrvs.rooms",'
+            b'"reflector":6,"v":3,"value":1.0}\n'
+            b'{"at":1.0,"event":"metric","kind":"event","name":"",'
             b'"reflector":6,"v":3,"value":1.0}\n')
         reader = other.makefile("r")
-        replies = [decode_message(reader.readline()) for _ in range(2)]
+        replies = [decode_message(reader.readline()) for _ in range(3)]
         ref = reflector(registry, 6)
         try:
             store = registry.monitor.store
@@ -249,9 +252,11 @@ def test_mistyped_fields_are_nacked_and_spare_the_uplinking_reflector(registry):
             assert not registry._by_reflector[6].closed
         finally:
             ref.shutdown()
-        assert [(m["kind"], m["ok"]) for m in replies] == [("ack", False), ("ack", False)]
+        assert [(m["kind"], m["ok"]) for m in replies] == [("ack", False)] * 3
         assert replies[0]["error"].startswith("SchemaError: field min_interval_ms: ")
         assert replies[1]["error"].startswith("SchemaError: field at: ")
+        assert replies[2]["error"] == ("SchemaError: field name: expected a non-empty string, "
+                                       "got str")
         assert not registry._subscribers
         reader.close()
     finally:
@@ -434,6 +439,26 @@ def test_client_disconnect_detaches_and_advertises(registry):
         ref.shutdown()
 
 
+def test_client_hello_and_disconnect_advertise_once_each(registry, monkeypatch):
+    ref = reflector(registry, 7)
+    adverts = []
+    advertise = registry.registry.advertise_membership
+
+    def counted(rid, rooms):
+        adverts.append((rid, set(rooms)))
+        advertise(rid, rooms)
+
+    monkeypatch.setattr(registry.registry, "advertise_membership", counted)
+    try:
+        c1 = client_socket(ref.port, 1, [5, 6])
+        assert wait_for(lambda: registry.registry.room_members() == {5: {7}, 6: {7}})
+        c1.close()
+        assert wait_for(lambda: not registry.registry.room_members())
+        assert adverts == [(7, {5, 6}), (7, set())]
+    finally:
+        ref.shutdown()
+
+
 def test_reregistration_clears_failed_and_rejoins_tree():
     daemon = RegistryDaemon(load_config(None, {**FAST, "probe_deadline_ms": 100}),
                             listen="127.0.0.1:0")
@@ -529,7 +554,9 @@ def test_stalled_receiver_does_not_starve_the_others(registry):
         ref.shutdown()
 
 
-def test_malformed_frame_closes_only_its_own_connection(registry):
+@pytest.mark.parametrize("index, value", [(0, 0x58), (2, 0x02), (3, 0x07), (20, 0x09)],
+                         ids=["magic", "version", "frame-type", "payload-tag"])
+def test_malformed_frame_closes_only_its_own_connection(registry, index, value):
     ref = reflector(registry, 9)
     try:
         bad = client_socket(ref.port, 1, [5])
@@ -539,7 +566,7 @@ def test_malformed_frame_closes_only_its_own_connection(registry):
         packet = MediaPacket(room=5, src=2, seq=7, timestamp_ms=70,
                              payload_type=PayloadType.AUDIO_G711U, payload=b"x" * 300)
         frame = encode_media_packet(packet)
-        broken = b"XX" + frame[2:]
+        broken = frame[:index] + bytes([value]) + frame[index + 1:]
         bad.sendall(broken[:10])
         time.sleep(0.05)
         bad.sendall(broken[10:])

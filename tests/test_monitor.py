@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vroverlay.errors import BadPattern
-from vroverlay.model import LinkStats, MediaPacket, PayloadType
+from vroverlay.model import LinkStats
 from vroverlay.monitor import (
     SAMPLE_COST_BYTES,
     MetricCollector,
@@ -332,6 +332,21 @@ def test_unsubscribing_during_delivery_spares_the_other_subscribers():
     assert list(svc._subs) == [2]
 
 
+def test_unsubscribing_during_catch_up_ends_it_and_detaches():
+    svc = MonitorService()
+    svc.record([sample(name="vrvs.rooms", at=1.0), sample(name="vrvs.clients", at=1.0)])
+    got = []
+
+    def deliver(s):
+        got.append(s)
+        svc.unsubscribe(1)  # the id of a fresh service's first subscription
+
+    svc.subscribe("vrvs.*", deliver)
+    svc.record([sample(name="vrvs.rooms", at=2.0)])
+    assert [(s.name, s.at) for s in got] == [("vrvs.rooms", 1.0)]
+    assert not svc._subs
+
+
 def test_bad_pattern_on_subscribe():
     svc = MonitorService()
     with pytest.raises(BadPattern):
@@ -373,9 +388,7 @@ def test_collect_no_peers_no_peer_samples():
 
 def test_collect_reports_unknown_room_drops():
     eng = engine_with_room()
-    p = MediaPacket(room=99, src=5, seq=1, timestamp_ms=0,
-                    payload_type=PayloadType.OPAQUE)
-    eng.forward(p)
+    eng.forward(99, 5, 24)
     collector = MetricCollector(1)
     by_name = {s.name: s for s in collector.collect(eng, now=1.0)}
     assert by_name["vrvs.unknown_room_drops"].value == 1.0
@@ -405,10 +418,7 @@ def test_collect_traffic_rate_from_byte_counters():
     eng.attach_client(1)
     eng.join_room(1, 7)
     collector = MetricCollector(1, started_at=0.0)
-    payload = b"x" * 76  # 24-byte header + 76 = 100 wire bytes
-    for seq in range(1, 11):
-        p = MediaPacket(room=7, src=9, seq=seq, timestamp_ms=0,
-                        payload_type=PayloadType.OPAQUE, payload=payload)
-        eng.forward(p)
+    for _ in range(10):
+        eng.forward(7, 9, 100)
     by_name = {s.name: s for s in collector.collect(eng, now=1000.0)}
     assert by_name["net.in_kbps"].value == pytest.approx(8.0, rel=0.01)

@@ -2,11 +2,12 @@
 import pytest
 
 from vroverlay.errors import NotAMember, StaleEpoch, UnknownClient
-from vroverlay.model import MediaPacket, PayloadType
 from vroverlay.reflector import ReflectorEngine, RoutingTable
+from vroverlay.wire import HEADER_SIZE
 
 R = 1
 ROOM = 7
+NBYTES = HEADER_SIZE + 160  # one frame's size on the wire
 
 
 def engine_with_clients(*clients):
@@ -16,13 +17,9 @@ def engine_with_clients(*clients):
     return eng
 
 
-def packet(src, ptype=PayloadType.OPAQUE, room=ROOM, seq=1):
-    return MediaPacket(room=room, src=src, seq=seq, timestamp_ms=0, payload_type=ptype)
-
-
 def members(eng, room=ROOM):
     """The room's local members: the clients a non-member's packet reaches."""
-    return eng.forward(packet(src=0, room=room))[0]
+    return eng.forward(room, 0, NBYTES)[0]
 
 
 def routed(epoch, neighbors, egress):
@@ -42,13 +39,11 @@ def test_join_creates_room():
 
 
 def test_join_is_idempotent():
-    seen = []
-    eng = ReflectorEngine(R, on_membership_change=lambda rooms: seen.append(set(rooms)))
-    eng.attach_client(1)
+    eng = engine_with_clients(1)
     eng.join_room(1, ROOM)
     eng.join_room(1, ROOM)
     assert members(eng) == [1]
-    assert seen == [{ROOM}]  # the repeat join fires no membership callback
+    assert (eng.client_count(), eng.room_count()) == (1, 1)
 
 
 def test_join_unknown_client():
@@ -81,15 +76,6 @@ def test_leave_not_a_member():
         eng.leave_room(9, ROOM)
 
 
-def test_membership_change_callback():
-    seen = []
-    eng = ReflectorEngine(R, on_membership_change=lambda rooms: seen.append(set(rooms)))
-    eng.attach_client(1)
-    eng.join_room(1, ROOM)
-    eng.leave_room(1, ROOM)
-    assert seen == [{ROOM}, set()]
-
-
 def test_detach_client_leaves_all_rooms():
     eng = engine_with_clients(1, 2)
     eng.join_room(1, ROOM)
@@ -106,7 +92,7 @@ def test_star_fanout_minus_sender():
     eng = engine_with_clients(1, 2, 3)
     for c in (1, 2, 3):
         eng.join_room(c, ROOM)
-    actions = eng.forward(packet(src=1))
+    actions = eng.forward(ROOM, 1, NBYTES)
     assert actions == ([2, 3], [])
 
 
@@ -115,7 +101,7 @@ def test_forward_includes_pruned_peers_and_excludes_ingress_peer():
     eng.join_room(2, ROOM)
     eng.swap_routing_table(routed(1, {10, 30}, {ROOM: {10, 30}}))
     # Packet arrives from peer 10: local delivery plus peer 30 only.
-    actions = eng.forward(packet(src=1), 10)
+    actions = eng.forward(ROOM, 1, NBYTES, 10)
     assert actions == ([2], [30])
 
 
@@ -124,14 +110,14 @@ def test_forward_origin_client_never_receives_own_packet():
     eng.join_room(1, ROOM)
     eng.join_room(2, ROOM)
     eng.swap_routing_table(routed(1, {10}, {ROOM: {10}}))
-    actions = eng.forward(packet(src=1))
+    actions = eng.forward(ROOM, 1, NBYTES)
     assert 1 not in actions[0]
     assert actions == ([2], [10])
 
 
 def test_forward_unknown_room_counted_not_raised():
     eng = engine_with_clients(1)
-    actions = eng.forward(packet(src=1, room=99))
+    actions = eng.forward(99, 1, NBYTES)
     assert actions == ([], [])
     assert eng.counters.unknown_room_drops == 1
 
@@ -139,7 +125,7 @@ def test_forward_unknown_room_counted_not_raised():
 def test_forward_transit_without_local_members():
     eng = ReflectorEngine(R)
     eng.swap_routing_table(routed(1, {10, 30}, {ROOM: {10, 30}}))
-    actions = eng.forward(packet(src=5), 10)
+    actions = eng.forward(ROOM, 5, NBYTES, 10)
     assert actions == ([], [30])
 
 
@@ -157,10 +143,9 @@ def test_line_overlay_path_enumeration():
         eng.join_room(client, ROOM)
         eng.swap_routing_table(routed(1, neighbors, {ROOM: egress}))
         engines[rid] = eng
-    p = packet(src=1)
-    assert engines[1].forward(p) == ([], [2])
-    assert engines[2].forward(p, 1) == ([2], [3])
-    assert engines[3].forward(p, 2) == ([3], [])
+    assert engines[1].forward(ROOM, 1, NBYTES) == ([], [2])
+    assert engines[2].forward(ROOM, 1, NBYTES, 1) == ([2], [3])
+    assert engines[3].forward(ROOM, 1, NBYTES, 2) == ([3], [])
 
 
 # --- routing swaps ---
@@ -187,9 +172,9 @@ def test_swap_same_content_new_epoch_keeps_behavior():
     eng.join_room(2, ROOM)
     table = {ROOM: {10}}
     eng.swap_routing_table(routed(1, {10}, table))
-    before = eng.forward(packet(src=1), 10)
+    before = eng.forward(ROOM, 1, NBYTES, 10)
     eng.swap_routing_table(routed(2, {10}, table))
-    after = eng.forward(packet(src=1), 10)
+    after = eng.forward(ROOM, 1, NBYTES, 10)
     assert before == after
 
 
@@ -200,7 +185,7 @@ def test_egress_actions_distinct_across_types():
     eng.join_room(1, ROOM)
     eng.join_room(5, ROOM)
     eng.swap_routing_table(routed(1, {5}, {ROOM: {5}}))
-    assert eng.forward(packet(src=1)) == ([5], [5])
+    assert eng.forward(ROOM, 1, NBYTES) == ([5], [5])
     assert eng.counters.packets_out == 2
 
 
@@ -214,6 +199,6 @@ def test_ingress_peer_never_in_egress_property():
         egress = frozenset(rng.sample(sorted(neighbors), k=rng.randrange(0, len(neighbors) + 1)))
         eng.swap_routing_table(routed(1, neighbors, {ROOM: egress}))
         ingress_peer = rng.choice(sorted(neighbors))
-        actions = eng.forward(packet(src=99), ingress_peer)
+        actions = eng.forward(ROOM, 99, NBYTES, ingress_peer)
         assert ingress_peer not in actions[1]
         assert actions == ([], sorted(p for p in egress if p != ingress_peer))

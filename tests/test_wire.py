@@ -20,6 +20,7 @@ from vroverlay.wire import (
     decode_media_packet,
     encode_media_packet,
     frame_size,
+    read_header,
     read_media_packet,
 )
 
@@ -162,6 +163,29 @@ def test_read_media_packet_stream_framing():
         decoded.append(p)
     assert decoded == packets
     assert offset == len(stream)
+
+
+def test_read_header_checks_like_the_decoder_and_reads_in_place():
+    rng = random.Random(5)
+    packets = [random_packet(rng) for _ in range(10)]
+    stream = bytearray(b"".join(encode_media_packet(p) for p in packets))
+    offset = 0
+    for p in packets:
+        decoded, end = read_media_packet(stream, offset)
+        assert decoded == p
+        assert read_header(stream, offset) == (
+            p.room, p.src, p.seq, p.timestamp_ms, p.payload_type, p.flags, end)
+        last, offset = offset, end
+    with pytest.raises(Truncated):
+        read_header(stream[:-1], last)
+    with pytest.raises(Truncated):
+        read_header(stream[:HEADER_SIZE - 1])
+    for index, value, error in ((0, 0x00, BadMagic), (2, 0x02, BadVersion),
+                                (3, 0x07, BadFrameType), (20, 0x09, BadPayloadTag)):
+        broken = bytearray(stream)
+        broken[index] = value
+        with pytest.raises(error):
+            read_header(broken)
 
 
 def test_frame_size_incomplete_header():
