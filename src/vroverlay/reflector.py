@@ -12,14 +12,22 @@ and returns two ascending id lists: the local clients to deliver to and the
 peers to send to. It reads the routing table through a single reference,
 so each hop uses one whole table. That holds per hop only: an epoch swap
 between two hops can route one packet under the old table at one reflector
-and the new table at the next. The engine reports no membership change; its
-owner advertises local_rooms() after it changes membership. Membership
-mutations are expected to be serialized by the caller; the reflector daemon
-makes every engine call from its one loop thread, so callers are serialized
-by construction.
+and the new table at the next.
+
+Destinations are kept sorted so that forward only filters: each room's
+members are an ascending list, kept in order as clients join and leave,
+and the first forward for a room under a table caches that room's egress
+as an ascending tuple. A table swap drops every cached egress.
+
+The engine reports no membership change; its owner advertises
+local_rooms() after it changes membership. Membership mutations are
+expected to be serialized by the caller; the reflector daemon makes every
+engine call from its one loop thread, so callers are serialized by
+construction.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -60,7 +68,8 @@ class ReflectorEngine:
         self.reflector_id = reflector_id
         self.counters = ForwardCounters()
         self._clients: dict = {}            # ClientId -> delivery endpoint handle
-        self._rooms: dict = {}              # RoomId -> set of ClientId
+        self._rooms: dict = {}              # RoomId -> ascending list of ClientId
+        self._egress: dict = {}             # RoomId -> ascending tuple of the table's egress
         self._routing: RoutingTable = EMPTY_ROUTING
 
     # --- client / room membership ---
@@ -82,7 +91,9 @@ class ReflectorEngine:
         """Add a connected client to a room; a repeat join changes nothing."""
         if client not in self._clients:
             raise UnknownClient("client %d is not connected to reflector %d" % (client, self.reflector_id))
-        self._rooms.setdefault(room, set()).add(client)
+        members = self._rooms.setdefault(room, [])
+        if client not in members:
+            insort(members, client)
 
     def leave_room(self, client: ClientId, room: RoomId) -> None:
         """Remove a client from a room; deletes the room when it empties."""
@@ -115,6 +126,7 @@ class ReflectorEngine:
         if new.epoch <= old.epoch:
             raise StaleEpoch("epoch %d is not newer than installed %d" % (new.epoch, old.epoch))
         self._routing = new
+        self._egress.clear()
         return old.epoch
 
     # --- forwarding ---
@@ -130,16 +142,21 @@ class ReflectorEngine:
         counters. Packets for rooms this reflector knows nothing about are
         counted and dropped, not errored.
         """
-        routing = self._routing  # one read: this hop sees exactly one table
-        members = self._rooms.get(room)
-        peer_egress = routing.room_egress.get(room)
         self.counters.packets_in += 1
         self.counters.bytes_in += nbytes
-        if members is None and peer_egress is None:
-            self.counters.unknown_room_drops += 1
-            return [], []
-        clients = sorted(c for c in members if c != src) if members else []
-        peers = sorted(r for r in peer_egress if r != from_peer) if peer_egress else []
+        members = self._rooms.get(room)
+        egress = self._egress.get(room)
+        if egress is None:
+            peer_egress = self._routing.room_egress.get(room)  # one read of the table
+            if peer_egress is not None:
+                egress = self._egress[room] = tuple(sorted(peer_egress))
+            elif members is None:
+                self.counters.unknown_room_drops += 1
+                return [], []
+            else:
+                egress = ()
+        clients = [c for c in members if c != src] if members else []
+        peers = [r for r in egress if r != from_peer]
         sent = len(clients) + len(peers)
         self.counters.packets_out += sent
         self.counters.bytes_out += nbytes * sent

@@ -28,13 +28,14 @@ class EventLoop:
         self._queue: list = []
         self._seq = itertools.count()
 
-    def schedule(self, at: float, fn: Callable[[], None]) -> None:
+    def schedule(self, at: float, fn: Callable[..., None], *args) -> None:
+        """Call `fn(*args)` at virtual time `at`; a handler plus its arguments, no closure."""
         if at < self.now:
             raise TimeRegression("cannot schedule at %.3f, clock is at %.3f" % (at, self.now))
-        heapq.heappush(self._queue, (at, next(self._seq), fn))
+        heapq.heappush(self._queue, (at, next(self._seq), fn, args))
 
-    def schedule_in(self, delay: float, fn: Callable[[], None]) -> None:
-        self.schedule(self.now + delay, fn)
+    def schedule_in(self, delay: float, fn: Callable[..., None], *args) -> None:
+        self.schedule(self.now + delay, fn, *args)
 
     def run_until(self, until: float) -> int:
         """Process every event with time <= until; returns the event count."""
@@ -42,15 +43,12 @@ class EventLoop:
             raise TimeRegression("cannot run to %.3f, clock is at %.3f" % (until, self.now))
         processed = 0
         while self._queue and self._queue[0][0] <= until:
-            at, _, fn = heapq.heappop(self._queue)
+            at, _, fn, args = heapq.heappop(self._queue)
             self.now = at
-            fn()
+            fn(*args)
             processed += 1
         self.now = until
         return processed
-
-    def pending(self) -> int:
-        return len(self._queue)
 
 
 @dataclass
@@ -145,9 +143,10 @@ class SimNetwork:
         a: ReflectorId,
         b: ReflectorId,
         nbytes: int,
-        on_deliver: Callable[[], None],
+        on_deliver: Callable[..., None],
+        *args,
     ) -> Optional[float]:
-        """Send nbytes from a to b; schedules on_deliver or drops.
+        """Send nbytes from a to b; schedules `on_deliver(*args)` or drops.
 
         Returns the scheduled delivery time, or None when the loss draw
         dropped the transmission. Raises LinkDown if the link is down.
@@ -160,10 +159,11 @@ class SimNetwork:
         if at is None:
             counters.lost += 1
             return None
-
-        def fire():
-            counters.delivered += 1
-            on_deliver()
-
-        self.loop.schedule(at, fire)
+        self.loop.schedule(at, _fire, counters, on_deliver, args)
         return at
+
+
+def _fire(counters: LinkCounters, on_deliver: Callable[..., None], args: tuple) -> None:
+    """A transmission arrives: count it, then run its handler."""
+    counters.delivered += 1
+    on_deliver(*args)

@@ -18,21 +18,21 @@ Built-in invariant checks record violations instead of raising: routing
 loops (a packet revisiting a reflector), duplicate deliveries to one
 client, and any end-of-run expectations the scenario declares.
 
-The trace is encoded and hashed while the run goes: every 256 events
-become JSON lines (`json.dumps(event, sort_keys=True)` each), feed one
-running sha256 and are kept only as that text. `SimReport.trace` is an
-iterable over the text that decodes each event as it is reached;
-`trace_hash()` is the running digest and `write_trace` (`sim run --trace
-FILE`) writes the stored text, so the file hashes to the printed hash.
+The trace is encoded and hashed while the run goes. Each event is written
+at once as its JSON line, `json.dumps(event, sort_keys=True)` byte for
+byte, by a `%r` template declared for its kind in `_TRACE_FIELDS`; the log
+holds lines, not event dicts. Every 256 lines feed one running sha256 and
+are kept only as that text. `SimReport.trace` is an iterable over the text
+that decodes each event as it is reached; `trace_hash()` is the running
+digest and `write_trace` (`sim run --trace FILE`) writes the stored text,
+so the file hashes to the printed hash.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from ..config import OverlayConfig, apply_overrides
 from ..control import ControlPlane
@@ -80,85 +80,79 @@ class MediaCounters:
     dropped_dead_peer: int = 0
 
 
-# Exact types whose finite values `%r` prints as `json.dumps` does. Matching
-# `type(v)` exactly leaves out `bool`, `IntEnum` members and other subclasses.
-_REPR_IS_JSON = frozenset((int, float))
-_CHUNK_EVENTS = 256  # events encoded at a time: about 28 KiB of text, one bytes object
+_CHUNK_EVENTS = 256  # lines hashed at a time: about 28 KiB of text, one bytes object
+
+# Every trace kind's fields in sorted-key order, the order in which `_trace`
+# takes their values. A field in _JSON_FIELDS holds a str, bool or list and is
+# written with `json.dumps`; any other holds an int or a finite float, which
+# `%r` writes exactly as `json.dumps` does.
+_TRACE_FIELDS = {
+    "register": ("reflector", "region"),
+    "violation": ("message",),
+    "resync_routing": ("epoch", "reflector"),
+    "install_failed": ("reason", "reflector"),
+    "routing": ("acks", "edges", "epoch", "failures", "total_weight"),
+    "snapshot": ("epoch", "reflectors"),
+    "notification": ("reason", "recipients", "reflector"),
+    "restart": ("attempt", "ok", "reflector"),
+    "restart_outcomes": ("outcomes", "reflector"),
+    "set_link": ("a", "b", "params"),
+    "kill": ("reflector",),
+    "partition": ("isolated",),
+    "inject_skipped": ("reflector", "room", "src"),
+    "inject": ("reflector", "room", "seq", "src"),
+    "forward": ("epoch", "fanout", "reflector", "room", "seq", "src"),
+    "deliver": ("client", "reflector", "room", "seq", "src"),
+    "drop": ("a", "b", "reason", "room", "seq", "src"),
+}
+_JSON_FIELDS = frozenset(("reason", "message", "region", "ok", "outcomes", "edges", "params",
+                          "recipients", "reflectors", "isolated"))
 
 
-def _line_template(event: dict):
-    """(size, fetch, template) for events shaped like `event`, else None.
+def _template(kind: str, fields: tuple) -> tuple:
+    """(line template, positions of the JSON-encoded fields, position of `t`).
 
     The template is the event's sorted JSON object with the `kind` string
-    written in and one `%r` slot per other field, filled from `fetch`.
+    written in and one slot per other key: `%s` for a JSON-encoded field,
+    `%r` for the rest, filled in sorted-key order.
     """
-    names = sorted(event)
-    fields = [name for name in names if name != "kind"]
-    if len(fields) < 2 or not all(type(name) is str for name in names):
-        return None  # itemgetter of one name returns a bare value, not a tuple
-
-    def literal(value) -> str:
-        return json.dumps(value).replace("%", "%%")
-
-    slots = ["%s: %s" % (literal(name), literal(event["kind"]) if name == "kind" else "%r")
-             for name in names]
-    return len(names), itemgetter(*fields), "{%s}" % ", ".join(slots)
+    slots = ['"%s": %s' % (name, json.dumps(kind) if name == "kind"
+                           else "%s" if name in _JSON_FIELDS else "%r")
+             for name in sorted(fields + ("t", "kind"))]
+    encoded = frozenset(i for i, name in enumerate(fields) if name in _JSON_FIELDS)
+    return "{%s}" % ", ".join(slots), encoded, sum(name < "t" for name in fields)
 
 
-def _trace_line(event: dict, templates: dict) -> str:
-    """Exactly `json.dumps(event, sort_keys=True)`, by template where that is exact.
-
-    `templates` caches one template per `kind`. It is used only when the
-    event has that template's key set and every other value is a finite
-    `int` or `float`; any other event goes through `json.dumps`.
-    """
-    try:
-        kind = event["kind"]
-        if type(kind) is str:
-            if kind not in templates:
-                templates[kind] = _line_template(event)
-            shape = templates[kind]
-            if shape is not None:
-                size, fetch, template = shape
-                if len(event) == size:
-                    values = fetch(event)  # KeyError: another key set of that size
-                    if (_REPR_IS_JSON.issuperset(map(type, values))
-                            and math.isfinite(math.fsum(values))):
-                        return template % values
-    except (KeyError, TypeError, OverflowError, ValueError):
-        pass
-    return json.dumps(event, sort_keys=True)
+_TRACE_TEMPLATES = {kind: _template(kind, fields) for kind, fields in _TRACE_FIELDS.items()}
 
 
 class _TraceLog:
     """The run's trace, kept only as the JSON-lines text that `write_trace` writes.
 
-    Events wait in a list until `_CHUNK_EVENTS` have come, then are encoded
-    with `_trace_line`, fed to a running sha256 and stored as one `bytes`
-    chunk, so no event dict outlives its chunk and the hash needs no second
-    pass. Iterating decodes lines with `json.loads`; the encoder is exactly
-    `json.dumps(sort_keys=True)`, so a decoded event equals the traced one.
+    `OverlaySim._trace` hands over each event as its finished line. Lines
+    wait in a list until `_CHUNK_EVENTS` have come, then are joined, fed to a
+    running sha256 and stored as one `bytes` chunk, so the hash needs no
+    second pass. Iterating decodes lines with `json.loads`; each line is
+    exactly `json.dumps(event, sort_keys=True)`, so a decoded event equals
+    the traced one.
     """
 
     def __init__(self):
-        self._pending: list = []    # events not yet encoded
+        self._pending: list = []    # lines not yet hashed
         self._chunks: list = []     # bytes, one line per event
         self._encoded = 0           # events in _chunks
         self._digest = hashlib.sha256()
-        self._templates: dict = {}
 
-    def append(self, event: dict) -> None:
+    def append(self, line: str) -> None:
         pending = self._pending
-        pending.append(event)
+        pending.append(line)
         if len(pending) == _CHUNK_EVENTS:
             self.flush()
 
     def flush(self) -> None:
-        """Encode, hash and store the events still waiting."""
+        """Hash and store the lines still waiting."""
         if self._pending:
-            templates = self._templates
-            text = "\n".join([_trace_line(event, templates) for event in self._pending])
-            chunk = (text + "\n").encode()
+            chunk = ("\n".join(self._pending) + "\n").encode()
             self._digest.update(chunk)
             self._chunks.append(chunk)
             self._encoded += len(self._pending)
@@ -302,7 +296,7 @@ class OverlaySim:
         self.loop.schedule(0.0, self._publish_tick)
         self.loop.schedule(0.0, self._supervise_tick)
         for event in scenario.events:
-            self.loop.schedule(event.t, lambda e=event: self._apply_event(e))
+            self.loop.schedule(event.t, self._apply_event, event)
 
     # --- construction helpers ---
 
@@ -329,7 +323,7 @@ class OverlaySim:
     def add_reflector(self, rid: int, region: str = "", link_to=None, **link_params) -> SimNode:
         """Bring a brand-new reflector into the running overlay."""
         node = self._create_node(rid, region, register_at=self.loop.now)
-        self._trace("register", reflector=rid, region=region)
+        self._trace("register", rid, region)
         if link_to is not None:
             self.net.add_link(SimLink(a=rid, b=link_to, **link_params))
         return node
@@ -339,14 +333,16 @@ class OverlaySim:
 
     # --- tracing ---
 
-    def _trace(self, kind: str, **fields_) -> None:
-        event = {"t": self.loop.now, "kind": kind}
-        event.update(fields_)
-        self.trace.append(event)
+    def _trace(self, kind: str, *values) -> None:
+        """Trace one event: its fields' values in `_TRACE_FIELDS` order."""
+        template, encoded, t_at = _TRACE_TEMPLATES[kind]
+        if encoded:
+            values = [json.dumps(v) if i in encoded else v for i, v in enumerate(values)]
+        self.trace.append(template % (*values[:t_at], self.loop.now, *values[t_at:]))
 
     def _violate(self, message: str) -> None:
         self.violations.append(message)
-        self._trace("violation", message=message)
+        self._trace("violation", message)
 
     # --- control-plane reachability ---
 
@@ -364,7 +360,7 @@ class OverlaySim:
         node = self.nodes.get(rid)
         if table is not None and node is not None and node.engine.routing.epoch < table.epoch:
             node.engine.swap_routing_table(table)
-            self._trace("resync_routing", reflector=rid, epoch=table.epoch)
+            self._trace("resync_routing", table.epoch, rid)
 
     # --- periodic work ---
 
@@ -408,16 +404,10 @@ class OverlaySim:
         if report is not None:
             tree = self.control.tree
             for rid, reason in sorted(report.failures.items()):
-                self._trace("install_failed", reflector=rid, reason=reason)
+                self._trace("install_failed", reason, rid)
             self.routing_epochs.append(report.epoch)
-            self._trace(
-                "routing",
-                epoch=report.epoch,
-                edges=sorted(list(e) for e in tree.edges),
-                total_weight=round(tree.total_weight, 9),
-                acks=len(report.acks),
-                failures=len(report.failures),
-            )
+            self._trace("routing", len(report.acks), sorted(list(e) for e in tree.edges),
+                        report.epoch, len(report.failures), round(tree.total_weight, 9))
         self.loop.schedule_in(self.config.optimizer_period_ms, self._optimizer_cycle)
 
     def _install_table(self, rid: int, table) -> None:
@@ -427,11 +417,7 @@ class OverlaySim:
 
     def _publish_tick(self) -> None:
         snapshot = self.registry.publish_snapshot(self.loop.now)
-        self._trace(
-            "snapshot",
-            epoch=snapshot.epoch,
-            reflectors=sorted(e.reflector for e in snapshot.reflectors),
-        )
+        self._trace("snapshot", snapshot.epoch, sorted(e.reflector for e in snapshot.reflectors))
         self.loop.schedule_in(self.config.publish_interval_ms, self._publish_tick)
 
     def _supervise_tick(self) -> None:
@@ -451,18 +437,14 @@ class OverlaySim:
                 self._run_restart(action)
             elif isinstance(action, NotificationEvent):
                 self.notifications.append(action)
-                self._trace(
-                    "notification",
-                    reflector=action.reflector,
-                    reason=action.reason,
-                    recipients=list(action.recipients),
-                )
+                self._trace("notification", action.reason, list(action.recipients),
+                            action.reflector)
         self.loop.schedule_in(self.config.probe_interval_ms, self._supervise_tick)
 
     def _run_restart(self, command: RestartCommand) -> None:
         node = self.nodes[command.reflector]
         ok = node.restart_outcomes.popleft() if node.restart_outcomes else True
-        self._trace("restart", reflector=node.id, attempt=command.attempt, ok=ok)
+        self._trace("restart", command.attempt, ok, node.id)
         if not ok:
             return
         node.alive = True
@@ -479,19 +461,15 @@ class OverlaySim:
             self.kill_reflector(event.reflector)
         elif isinstance(event, RestartOutcomes):
             self.nodes[event.reflector].restart_outcomes.extend(event.outcomes)
-            self._trace(
-                "restart_outcomes", reflector=event.reflector, outcomes=list(event.outcomes)
-            )
+            self._trace("restart_outcomes", list(event.outcomes), event.reflector)
         elif isinstance(event, SetLink):
             self.net.set_link(event.a, event.b, **dict(event.params))
-            self._trace("set_link", a=event.a, b=event.b,
-                        params=[list(param) for param in sorted(event.params)])
+            self._trace("set_link", event.a, event.b,
+                        [list(param) for param in sorted(event.params)])
         elif isinstance(event, InjectTraffic):
             for i in range(event.count):
                 at = event.t + i * event.interval_ms
-                self.loop.schedule(
-                    max(at, self.loop.now), lambda e=event: self._inject_one(e)
-                )
+                self.loop.schedule(max(at, self.loop.now), self._inject_one, event)
         elif isinstance(event, Partition):
             self.set_partition(event.isolated)
         else:
@@ -499,7 +477,7 @@ class OverlaySim:
 
     def kill_reflector(self, rid: int) -> None:
         self.nodes[rid].alive = False
-        self._trace("kill", reflector=rid)
+        self._trace("kill", rid)
 
     def set_partition(self, isolated) -> None:
         freed = self.isolated - set(isolated)
@@ -513,7 +491,7 @@ class OverlaySim:
             if (a in self.isolated) != (b in self.isolated) and self.net.links[key].up:
                 self.net.links[key].up = False
                 self._partition_down.add(key)
-        self._trace("partition", isolated=sorted(self.isolated))
+        self._trace("partition", sorted(self.isolated))
         for rid in sorted(freed):
             if self._reachable(rid):
                 self._advertise(rid)
@@ -526,7 +504,7 @@ class OverlaySim:
         node = self.nodes[home]
         if not node.alive:
             self.media.inject_skipped += 1
-            self._trace("inject_skipped", room=event.room, src=event.src, reflector=home)
+            self._trace("inject_skipped", home, event.room, event.src)
             return
         stream = (event.room, event.src)
         seq = self._seq.get(stream, 0) + 1
@@ -535,7 +513,7 @@ class OverlaySim:
         self.media.injected += 1
         self.delivered_to[packet] = {}
         self.expected_receivers[packet] = frozenset(self.room_clients[event.room] - {event.src})
-        self._trace("inject", room=event.room, src=event.src, seq=seq, reflector=home)
+        self._trace("inject", home, event.room, seq, event.src)
         self._forward_at(node, packet, HEADER_SIZE + event.payload_bytes, NO_ID, trail=(home,))
 
     # A packet in flight is its (room, src, seq) key plus its size on the wire.
@@ -545,37 +523,25 @@ class OverlaySim:
         room, src, seq = packet
         epoch = node.engine.routing.epoch
         clients, peers = node.engine.forward(room, src, nbytes, from_peer)
-        self._trace(
-            "forward",
-            reflector=node.id,
-            room=room,
-            src=src,
-            seq=seq,
-            epoch=epoch,
-            fanout=len(clients) + len(peers),
-        )
+        self._trace("forward", epoch, len(clients) + len(peers), node.id, room, seq, src)
         for client in clients:
             self._deliver_local(node, packet, client)
         for peer in peers:
             self._send_peer(node, packet, nbytes, peer, trail)
 
     def _deliver_local(self, node: SimNode, packet: tuple, client: int) -> None:
-        counts = self.delivered_to.setdefault(packet, {})
+        counts = self.delivered_to[packet]
         counts[client] = counts.get(client, 0) + 1
         self.media.delivered += 1
         if counts[client] > 1:
             self._violate("duplicate delivery of packet %s to client %d" % (packet, client))
         room, src, seq = packet
-        self._trace("deliver", client=client, reflector=node.id, room=room, src=src, seq=seq)
+        self._trace("deliver", client, node.id, room, seq, src)
 
     def _send_peer(self, node: SimNode, packet: tuple, nbytes: int, peer: int, trail) -> None:
         try:
-            at = self.net.transmit(
-                node.id,
-                peer,
-                nbytes,
-                lambda: self._receive_peer(peer, packet, nbytes, node.id, trail),
-            )
+            at = self.net.transmit(node.id, peer, nbytes,
+                                   self._receive_peer, peer, packet, nbytes, node.id, trail)
         except LinkDown:
             self.media.dropped_link_down += 1
             self._trace_drop("link_down", node.id, peer, packet)
@@ -600,7 +566,7 @@ class OverlaySim:
 
     def _trace_drop(self, reason: str, a: int, b: int, packet: tuple) -> None:
         room, src, seq = packet
-        self._trace("drop", reason=reason, a=a, b=b, room=room, src=src, seq=seq)
+        self._trace("drop", a, b, reason, room, seq, src)
 
     # --- running and reporting ---
 

@@ -2,20 +2,20 @@
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vroverlay.cli import main
 from vroverlay.export import snapshot_to_json
-from vroverlay.model import PayloadType
 from vroverlay.sim import OverlaySim, load_scenario, load_scenario_file
-from vroverlay.sim.harness import _CHUNK_EVENTS, _trace_line
+from vroverlay.sim.harness import _CHUNK_EVENTS, _JSON_FIELDS, _TRACE_FIELDS
 from vroverlay.supervisor import HealthState
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -217,57 +217,48 @@ def test_finished_report_keeps_the_trace_as_text_not_events():
 
 # --- trace line encoding ---
 
-class _Float(float):
-    pass
-
-
-_ODD_VALUES = st.one_of(
-    st.booleans(),
-    st.sampled_from(PayloadType),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308, -1e308,
-                     10 ** 400, -(10 ** 400)]),
-    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+                     2 ** 64 + 1, -(2 ** 70), 10 ** 400]),
+)
+_STRINGS = st.one_of(
     st.text(),
-    st.sampled_from(["%", "%r", "%%s", '"', "\\", "caf\u00e9", "\u2028", "\U0001f600"]),
-    st.none(),
-    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3),
-                       st.lists(st.integers(), max_size=2)), max_size=3),
+    st.sampled_from(["%", "%r", "%%s", '"', "\\", 'say "50%"', "caf\u00e9", "\u2028", "\U0001f600"]),
 )
-_TRACE_VALUES = st.one_of(st.integers(), st.floats(), _ODD_VALUES)
-_TRACE_EVENTS = st.builds(
-    lambda kind, t, fields: {"t": t, "kind": kind, **fields},
-    st.sampled_from(["forward", "deliver", "100%", "50%%", 'say "hi"', "caf\u00e9"]),
-    st.one_of(st.floats(), st.integers()),
-    st.dictionaries(
-        st.sampled_from(["room", "src", "seq", "a%r", "%%s", 'q"uote', "\u00e9t\u00e9"]),
-        _TRACE_VALUES, max_size=4),
+_JSON_VALUES = st.one_of(
+    _STRINGS,
+    st.booleans(),
+    st.lists(st.one_of(_NUMBERS, _STRINGS, st.booleans(), st.lists(_NUMBERS, max_size=2)),
+             max_size=3),
 )
 
 
-# An example takes microseconds, so a deadline would only time the host.
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_TRACE_EVENTS, max_size=12))
-@example([{"t": 1.5, "kind": "deliver", "room": 1, "seq": 2},
-          {"t": 2.5, "kind": "deliver", "room": True, "seq": 2},
-          {"t": 3.5, "kind": "deliver", "room": 1, "seq": float("inf")},
-          {"t": 4.5, "kind": "deliver", "room": 1, "seq": 10 ** 400},
-          {"t": 5.5, "kind": "deliver", "room": PayloadType.VIDEO_H261, "seq": -0.0}])
-def test_trace_line_equals_json_dumps(events):
-    templates = {}
-    for event in events:
-        assert _trace_line(event, templates) == json.dumps(event, sort_keys=True)
+# One (t, field values) pair per trace kind, in `_TRACE_FIELDS` order.
+_KIND_VALUES = st.tuples(*[
+    st.tuples(_NUMBERS, st.tuples(*[_JSON_VALUES if name in _JSON_FIELDS else _NUMBERS
+                                    for name in fields]))
+    for fields in _TRACE_FIELDS.values()])
 
 
-def test_trace_line_other_key_set_of_a_cached_kind():
-    templates = {}
-    first = {"t": 1.0, "kind": "deliver", "room": 1, "seq": 2}
-    assert _trace_line(first, templates) == json.dumps(first, sort_keys=True)
-    assert templates["deliver"] is not None  # the kind now has a template
-    for event in ({"t": 2.0, "kind": "deliver", "room": 1, "src": 3},      # other key set
-                  {"t": 3.0, "kind": "deliver", "room": 1, "seq": 2, "src": 3},  # extra key
-                  {"t": 4.0, "kind": "deliver", "room": 1},                # missing key
-                  {"kind": "deliver", "room": 1, "seq": 2, "t": 5.0}):     # same set, other order
-        assert _trace_line(event, templates) == json.dumps(event, sort_keys=True)
+# Drawing the values takes most of an example's time, so a deadline would only time the host.
+@settings(max_examples=150, deadline=None)
+@given(_KIND_VALUES)
+def test_every_trace_kind_is_written_as_json_dumps(drawn):
+    sim = OverlaySim(load_scenario(triangle_doc()))
+    expected = []
+    for (kind, fields), (t, values) in zip(_TRACE_FIELDS.items(), drawn):
+        sim.loop.now = t
+        sim._trace(kind, *values)
+        event = {"t": t, "kind": kind, **dict(zip(fields, values))}
+        expected.append(json.dumps(event, sort_keys=True))
+    with pytest.raises(KeyError):
+        sim._trace("not_a_kind", 1)
+    text = io.StringIO()
+    sim.trace.write(text)
+    assert text.getvalue().splitlines() == expected
+    assert list(sim.trace) == [json.loads(line) for line in expected]
 
 
 # --- recovery timing ---

@@ -2,6 +2,7 @@
 import pytest
 
 from vroverlay.errors import NotAMember, StaleEpoch, UnknownClient
+from vroverlay.model import NO_ID
 from vroverlay.reflector import ReflectorEngine, RoutingTable
 from vroverlay.wire import HEADER_SIZE
 
@@ -202,3 +203,49 @@ def test_ingress_peer_never_in_egress_property():
         actions = eng.forward(ROOM, 99, NBYTES, ingress_peer)
         assert ingress_peer not in actions[1]
         assert actions == ([], sorted(p for p in egress if p != ingress_peer))
+
+
+def test_forward_matches_a_from_scratch_reference_after_every_change():
+    """The per-room destination cache never serves a stale answer."""
+    import random
+
+    rng = random.Random(2718)
+    rooms, clients, peers = range(1, 5), range(1, 9), range(10, 15)
+    for _ in range(40):
+        eng = ReflectorEngine(R)
+        attached, joined = set(), {}          # reference state: client ids, room -> members
+        table = eng.routing
+        for _ in range(60):
+            op = rng.choice(("attach", "join", "join", "leave", "detach", "swap"))
+            client, room = rng.choice(clients), rng.choice(rooms)
+            if op == "attach":
+                eng.attach_client(client)
+                attached.add(client)
+            elif op == "join" and client in attached:
+                eng.join_room(client, room)
+                joined.setdefault(room, set()).add(client)
+            elif op == "leave" and client in joined.get(room, ()):
+                eng.leave_room(client, room)
+                joined[room].discard(client)
+            elif op == "detach":
+                eng.detach_client(client)
+                attached.discard(client)
+                for members in joined.values():
+                    members.discard(client)
+            elif op == "swap":
+                table = routed(table.epoch + 1, peers, {
+                    r: rng.sample(peers, k=rng.randrange(len(peers) + 1))
+                    for r in rooms if rng.random() < 0.6})
+                eng.swap_routing_table(table)
+            for room in rooms:
+                src = rng.choice((0,) + tuple(clients))
+                from_peer = rng.choice((NO_ID,) + tuple(peers))
+                members = joined.get(room, set())
+                egress = table.room_egress.get(room)
+                drops = eng.counters.unknown_room_drops
+                assert eng.forward(room, src, NBYTES, from_peer) == (
+                    sorted(c for c in members if c != src),
+                    sorted(r for r in egress or () if r != from_peer),
+                )
+                unknown = not members and egress is None
+                assert eng.counters.unknown_room_drops == drops + unknown
