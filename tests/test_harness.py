@@ -245,7 +245,7 @@ _KIND_VALUES = st.tuples(*[
 # Drawing the values takes most of an example's time, so a deadline would only time the host.
 @settings(max_examples=150, deadline=None)
 @given(_KIND_VALUES)
-def test_every_trace_kind_is_written_as_json_dumps(drawn):
+def test_trace_line_equals_json_dumps(drawn):
     sim = OverlaySim(load_scenario(triangle_doc()))
     expected = []
     for (kind, fields), (t, values) in zip(_TRACE_FIELDS.items(), drawn):
@@ -259,6 +259,32 @@ def test_every_trace_kind_is_written_as_json_dumps(drawn):
     sim.trace.write(text)
     assert text.getvalue().splitlines() == expected
     assert list(sim.trace) == [json.loads(line) for line in expected]
+
+
+def test_trace_line_other_key_set_of_a_cached_kind():
+    # Each kind has one declared key set: a value too few or too many raises
+    # instead of writing a line with other keys, and kinds traced in turn
+    # each keep their own keys.
+    sim = OverlaySim(load_scenario(triangle_doc()))
+    sim.loop.now = 1.5
+    with pytest.raises(TypeError):
+        sim._trace("deliver", 1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        sim._trace("deliver", 1, 2, 3, 4, 5, 6)
+    sim._trace("deliver", 4, 1, 7, 2, 3)
+    sim._trace("drop", 1, 2, "no_route", 7, 2, 3)
+    sim._trace("deliver", 5, 2, 7, 2, 3)
+    sim._trace("kill", 3)
+    expected = [
+        {"t": 1.5, "kind": "deliver", "client": 4, "reflector": 1, "room": 7, "seq": 2, "src": 3},
+        {"t": 1.5, "kind": "drop", "a": 1, "b": 2, "reason": "no_route", "room": 7, "seq": 2,
+         "src": 3},
+        {"t": 1.5, "kind": "deliver", "client": 5, "reflector": 2, "room": 7, "seq": 2, "src": 3},
+        {"t": 1.5, "kind": "kill", "reflector": 3},
+    ]
+    text = io.StringIO()
+    sim.trace.write(text)
+    assert text.getvalue().splitlines() == [json.dumps(e, sort_keys=True) for e in expected]
 
 
 # --- recovery timing ---
