@@ -13,7 +13,7 @@ import heapq
 import itertools
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..errors import LinkDown, TimeRegression
@@ -107,35 +107,40 @@ class LinkCounters:
 
 
 class SimNetwork:
-    """The set of links, their RNG substreams, and transmission bookkeeping."""
+    """The set of links, their RNG substreams, and transmission bookkeeping.
+
+    A hop finds a link's one `(SimLink, LinkCounters, random.Random)` record
+    with one lookup; `links` maps the same `SimLink`s, which change in place.
+    """
 
     def __init__(self, loop: EventLoop, seed: int):
         self.loop = loop
         self.seed = seed
         self.links: dict = {}     # (a, b) -> SimLink
-        self.counters: dict = {}  # (a, b) -> LinkCounters
-        self._rngs: dict = {}     # (a, b) -> random.Random
+        self._records: dict = {}  # (a, b) -> (SimLink, LinkCounters, random.Random)
+
+    @property
+    def counters(self) -> dict:  # (a, b) -> LinkCounters
+        return {key: record[1] for key, record in self._records.items()}
 
     def add_link(self, link: SimLink) -> SimLink:
         key = link.key
         if key in self.links:
             raise ValueError("duplicate link %s" % (key,))
         self.links[key] = link
-        self.counters[key] = LinkCounters()
-        self._rngs[key] = random.Random(link_stream_seed(self.seed, *key))
+        rng = random.Random(link_stream_seed(self.seed, *key))
+        self._records[key] = (link, LinkCounters(), rng)
         return link
 
-    def link(self, a: ReflectorId, b: ReflectorId) -> SimLink:
-        return self.links[link_key(a, b)]
-
     def set_link(self, a: ReflectorId, b: ReflectorId, **params) -> SimLink:
-        link = self.link(a, b)
+        """Change link parameters in place; an invalid value changes none of them."""
+        link = self.links[link_key(a, b)]
+        unknown = set(params) - {"latency_ms", "loss_probability", "bandwidth_kbps", "up"}
+        if unknown:
+            raise ValueError("unknown link parameter %r" % min(unknown))
+        replace(link, **params)  # a throwaway copy: SimLink's checks raise before any change
         for name, value in params.items():
-            if not hasattr(link, name):
-                raise ValueError("unknown link parameter %r" % name)
             setattr(link, name, value)
-        if link.latency_ms < 0 or not 0.0 <= link.loss_probability <= 1.0 or link.bandwidth_kbps <= 0:
-            raise ValueError("invalid link parameters for %s" % (link.key,))
         return link
 
     def transmit(
@@ -149,13 +154,11 @@ class SimNetwork:
         """Send nbytes from a to b; schedules `on_deliver(*args)` or drops.
 
         Returns the scheduled delivery time, or None when the loss draw
-        dropped the transmission. Raises LinkDown if the link is down.
+        dropped the transmission. Raises LinkDown if the link is down, KeyError if none.
         """
-        key = link_key(a, b)
-        link = self.links[key]
-        counters = self.counters[key]
+        link, counters, rng = self._records[(a, b) if a < b else (b, a)]
         counters.sent += 1
-        at = deliver_or_drop(link, nbytes, self._rngs[key], self.loop.now)
+        at = deliver_or_drop(link, nbytes, rng, self.loop.now)
         if at is None:
             counters.lost += 1
             return None

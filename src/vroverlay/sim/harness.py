@@ -21,8 +21,10 @@ client, and any end-of-run expectations the scenario declares.
 The trace is encoded and hashed while the run goes. Each event is written
 at once as its JSON line, `json.dumps(event, sort_keys=True)` byte for
 byte, by a `%r` template declared for its kind in `_TRACE_FIELDS`; the log
-holds lines, not event dicts. Every 256 lines feed one running sha256 and
-are kept only as that text. `SimReport.trace` is an iterable over the text
+holds lines, not event dicts. `forward` and `deliver` lines fill their
+templates in place, and `_now_text` formats each clock time once for all
+the lines at that time. Every 256 lines feed one running sha256 and are
+kept only as that text. `SimReport.trace` is an iterable over the text
 that decodes each event as it is reached; `trace_hash()` is the running
 digest and `write_trace` (`sim run --trace FILE`) writes the stored text,
 so the file hashes to the printed hash.
@@ -113,17 +115,20 @@ def _template(kind: str, fields: tuple) -> tuple:
     """(line template, positions of the JSON-encoded fields, position of `t`).
 
     The template is the event's sorted JSON object with the `kind` string
-    written in and one slot per other key: `%s` for a JSON-encoded field,
-    `%r` for the rest, filled in sorted-key order.
+    written in and one slot per other key: `%s` for a JSON-encoded field and
+    for the text of `t`, `%r` for the rest, filled in sorted-key order.
     """
     slots = ['"%s": %s' % (name, json.dumps(kind) if name == "kind"
-                           else "%s" if name in _JSON_FIELDS else "%r")
+                           else "%s" if name in _JSON_FIELDS or name == "t" else "%r")
              for name in sorted(fields + ("t", "kind"))]
     encoded = frozenset(i for i, name in enumerate(fields) if name in _JSON_FIELDS)
     return "{%s}" % ", ".join(slots), encoded, sum(name < "t" for name in fields)
 
 
 _TRACE_TEMPLATES = {kind: _template(kind, fields) for kind, fields in _TRACE_FIELDS.items()}
+# The hop kinds, written in place by the media plane; `t` is their last slot.
+_FORWARD = _TRACE_TEMPLATES["forward"][0]
+_DELIVER = _TRACE_TEMPLATES["deliver"][0]
 
 
 class _TraceLog:
@@ -208,20 +213,11 @@ class SimReport:
         lines = [
             "scenario: %s (seed %d, %.0f ms)" % (self.scenario, self.seed, self.duration_ms),
             "packets: injected=%d delivered=%d loss_drops=%d link_down_drops=%d dead_peer_drops=%d"
-            % (
-                self.media.injected,
-                self.media.delivered,
-                self.media.lost_links,
-                self.media.dropped_link_down,
-                self.media.dropped_dead_peer,
-            ),
+            % (self.media.injected, self.media.delivered, self.media.lost_links,
+               self.media.dropped_link_down, self.media.dropped_dead_peer),
             "transmissions: sent=%d delivered=%d lost=%d in_flight=%d"
-            % (
-                self.transmissions_sent,
-                self.transmissions_delivered,
-                self.transmissions_lost,
-                self.transmissions_in_flight,
-            ),
+            % (self.transmissions_sent, self.transmissions_delivered, self.transmissions_lost,
+               self.transmissions_in_flight),
             "drops: unknown_room=%d" % self.unknown_room_drops,
             "routing epochs installed: %s" % (self.routing_epochs or "none"),
             "notifications: %d" % len(self.notifications),
@@ -236,6 +232,9 @@ class SimReport:
 
 class OverlaySim:
     """Deterministic simulation of one scenario."""
+
+    _t_at = None  # the nonzero float clock time whose text `_t_text` holds
+    _t_text = ""
 
     def __init__(self, scenario: Scenario, monitoring: bool = True):
         self.scenario = scenario
@@ -270,15 +269,8 @@ class OverlaySim:
         for spec in scenario.reflectors:
             self._create_node(spec.id, spec.region, register_at=0.0)
         for spec in scenario.links:
-            self.net.add_link(
-                SimLink(
-                    a=spec.a,
-                    b=spec.b,
-                    latency_ms=spec.latency_ms,
-                    loss_probability=spec.loss,
-                    bandwidth_kbps=spec.bandwidth_kbps,
-                )
-            )
+            self.net.add_link(SimLink(spec.a, spec.b, spec.latency_ms, spec.loss,
+                                      spec.bandwidth_kbps))
         for spec in scenario.clients:
             self.client_home[spec.id] = spec.reflector
             self.nodes[spec.reflector].engine.attach_client(spec.id)
@@ -333,12 +325,20 @@ class OverlaySim:
 
     # --- tracing ---
 
+    def _now_text(self) -> str:
+        """`repr` of the clock, reused for an equal nonzero float (0.0 == -0.0, 5 == 5.0)."""
+        now = self.loop.now
+        if now is not self._t_at and not (now == self._t_at and type(now) is float):
+            self._t_text = repr(now)
+            self._t_at = now if now and type(now) is float else None
+        return self._t_text
+
     def _trace(self, kind: str, *values) -> None:
         """Trace one event: its fields' values in `_TRACE_FIELDS` order."""
         template, encoded, t_at = _TRACE_TEMPLATES[kind]
         if encoded:
             values = [json.dumps(v) if i in encoded else v for i, v in enumerate(values)]
-        self.trace.append(template % (*values[:t_at], self.loop.now, *values[t_at:]))
+        self.trace.append(template % (*values[:t_at], self._now_text(), *values[t_at:]))
 
     def _violate(self, message: str) -> None:
         self.violations.append(message)
@@ -521,52 +521,47 @@ class OverlaySim:
     def _forward_at(self, node: SimNode, packet: tuple, nbytes: int, from_peer: int,
                     trail) -> None:
         room, src, seq = packet
+        rid = node.id
         epoch = node.engine.routing.epoch
         clients, peers = node.engine.forward(room, src, nbytes, from_peer)
-        self._trace("forward", epoch, len(clients) + len(peers), node.id, room, seq, src)
+        t = self._now_text()
+        self.trace.append(_FORWARD % (epoch, len(clients) + len(peers), rid, room, seq, src, t))
         for client in clients:
-            self._deliver_local(node, packet, client)
+            self._deliver_local(rid, packet, client, t)
         for peer in peers:
-            self._send_peer(node, packet, nbytes, peer, trail)
+            try:
+                at = self.net.transmit(rid, peer, nbytes,
+                                       self._receive_peer, peer, packet, nbytes, rid, trail)
+            except LinkDown:
+                self.media.dropped_link_down += 1
+                self._trace("drop", rid, peer, "link_down", room, seq, src)
+                continue
+            if at is None:
+                self.media.lost_links += 1
+                self._trace("drop", rid, peer, "loss", room, seq, src)
 
-    def _deliver_local(self, node: SimNode, packet: tuple, client: int) -> None:
+    def _deliver_local(self, rid: int, packet: tuple, client: int, t: str) -> None:
+        """Deliver to a local client; `t` is the clock's text for the trace line."""
         counts = self.delivered_to[packet]
         counts[client] = counts.get(client, 0) + 1
         self.media.delivered += 1
         if counts[client] > 1:
             self._violate("duplicate delivery of packet %s to client %d" % (packet, client))
         room, src, seq = packet
-        self._trace("deliver", client, node.id, room, seq, src)
-
-    def _send_peer(self, node: SimNode, packet: tuple, nbytes: int, peer: int, trail) -> None:
-        try:
-            at = self.net.transmit(node.id, peer, nbytes,
-                                   self._receive_peer, peer, packet, nbytes, node.id, trail)
-        except LinkDown:
-            self.media.dropped_link_down += 1
-            self._trace_drop("link_down", node.id, peer, packet)
-            return
-        if at is None:
-            self.media.lost_links += 1
-            self._trace_drop("loss", node.id, peer, packet)
+        self.trace.append(_DELIVER % (client, rid, room, seq, src, t))
 
     def _receive_peer(self, rid: int, packet: tuple, nbytes: int, from_rid: int, trail) -> None:
         node = self.nodes[rid]
         if not node.alive:
             self.media.dropped_dead_peer += 1
-            self._trace_drop("dead_peer", from_rid, rid, packet)
+            room, src, seq = packet
+            self._trace("drop", from_rid, rid, "dead_peer", room, seq, src)
             return
         if rid in trail:
-            self._violate(
-                "routing loop: packet %s revisited reflector %d (trail %s)"
-                % (packet, rid, list(trail))
-            )
+            self._violate("routing loop: packet %s revisited reflector %d (trail %s)"
+                          % (packet, rid, list(trail)))
             return
         self._forward_at(node, packet, nbytes, from_rid, trail + (rid,))
-
-    def _trace_drop(self, reason: str, a: int, b: int, packet: tuple) -> None:
-        room, src, seq = packet
-        self._trace("drop", a, b, reason, room, seq, src)
 
     # --- running and reporting ---
 

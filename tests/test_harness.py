@@ -287,6 +287,80 @@ def test_trace_line_other_key_set_of_a_cached_kind():
     assert text.getvalue().splitlines() == [json.dumps(e, sort_keys=True) for e in expected]
 
 
+def hop_trace_doc():
+    """Lossy, downed and dead hops, three clients on reflector 1, and lines at -0.0 and 0.0."""
+    return {
+        "name": "hop-trace", "seed": 5, "duration_ms": 3000,
+        "reflectors": [{"id": 1}, {"id": 2}, {"id": 3}, {"id": 4}],
+        "links": [{"a": 1, "b": 2, "latency_ms": 10, "loss": 0.3},
+                  {"a": 2, "b": 3, "latency_ms": 10}, {"a": 3, "b": 4, "latency_ms": 10}],
+        "clients": [{"id": 201, "reflector": 1}, {"id": 202, "reflector": 1},
+                    {"id": 203, "reflector": 1}, {"id": 204, "reflector": 2},
+                    {"id": 205, "reflector": 3}, {"id": 206, "reflector": 4}],
+        "rooms": [{"id": 50, "members": [201, 202, 203, 204, 205, 206]},
+                  {"id": 51, "members": [202, 204, 206]}],
+        "events": [
+            # Traced at -0.0, after the periodic work of 0.0 and before the injects.
+            {"t": -0.0, "action": "set_link", "a": 3, "b": 4, "latency_ms": 12},
+            # Two streams that share every send time, and one that shares none.
+            {"t": 0, "action": "inject", "room": 50, "src": 201, "count": 15, "interval_ms": 100},
+            {"t": 0, "action": "inject", "room": 51, "src": 204, "count": 15, "interval_ms": 100},
+            {"t": 150, "action": "inject", "room": 50, "src": 205, "count": 10, "interval_ms": 37},
+            {"t": 1500, "action": "set_link", "a": 2, "b": 3, "up": False},
+            {"t": 1500, "action": "inject", "room": 50, "src": 202, "count": 5, "interval_ms": 50},
+        ],
+    }
+
+
+def test_hop_trace_lines_equal_json_dumps_with_the_clock_and_forward_results():
+    # The forward and deliver lines are written in place and every line reuses
+    # the text of an unchanged clock, so check each line against the clock
+    # read when it was appended and each forward line against what
+    # `ReflectorEngine.forward` returned.
+    sim = OverlaySim(load_scenario(hop_trace_doc()))
+    # An int time right after float lines of the same value (5 == 5.0).
+    sim.schedule(1000.0, lambda: sim.loop.schedule(1000, sim.kill_reflector, 4))
+    clocks, forwards = [], []
+    append = sim.trace.append
+    sim.trace.append = lambda line: (clocks.append(repr(sim.loop.now)), append(line))
+    for node in sim.nodes.values():
+        def forward(room, src, nbytes, from_peer, node=node, real=node.engine.forward):
+            epoch = node.engine.routing.epoch
+            clients, peers = real(room, src, nbytes, from_peer)
+            forwards.append((node.id, epoch, room, src, list(clients), len(peers)))
+            return clients, peers
+        node.engine.forward = forward
+    report = sim.run()
+    text = io.StringIO()
+    report.write_trace(text)
+    lines = text.getvalue().splitlines()
+    events = [json.loads(line) for line in lines]
+    assert len(lines) == len(clocks)
+    for line, event, clock in zip(lines, events, clocks):
+        assert line == json.dumps(event, sort_keys=True)
+        assert set(event) == set(_TRACE_FIELDS[event["kind"]]) | {"kind", "t"}
+        assert repr(event["t"]) == clock
+    injected = {(e["room"], e["src"], e["seq"]) for e in events if e["kind"] == "inject"}
+    at = [i for i, e in enumerate(events) if e["kind"] == "forward"]
+    assert len(at) == len(forwards)
+    for i, (rid, epoch, room, src, clients, npeers) in zip(at, forwards):
+        e = events[i]
+        assert (e["reflector"], e["epoch"], e["room"], e["src"]) == (rid, epoch, room, src)
+        assert e["fanout"] == len(clients) + npeers
+        assert (room, src, e["seq"]) in injected
+        delivers = events[i + 1:i + 1 + len(clients)]
+        assert [(d["kind"], d["client"]) for d in delivers] == [("deliver", c) for c in clients]
+        assert all((d["reflector"], d["room"], d["src"], d["seq"], d["t"])
+                   == (rid, room, src, e["seq"], e["t"]) for d in delivers)
+    # The run covers what it is for.
+    assert {e["reason"] for e in events if e["kind"] == "drop"} == {"loss", "link_down",
+                                                                    "dead_peer"}
+    assert max(len(f[4]) for f in forwards) == 3
+    assert {"0.0", "-0.0", "1000", "1000.0"} <= set(clocks)
+    inject_times = [e["t"] for e in events if e["kind"] == "inject"]
+    assert len(set(inject_times)) < len(inject_times)
+
+
 # --- recovery timing ---
 
 def test_killed_reflector_recovers_within_bound():

@@ -145,6 +145,27 @@ def test_conservation_under_loss():
     assert len(delivered) == counters.delivered
 
 
+def test_set_link_checks_every_value_before_changing_any():
+    loop = EventLoop()
+    net = SimNetwork(loop, seed=1)
+    link = net.add_link(SimLink(a=1, b=2, latency_ms=10.0, bandwidth_kbps=1e12))
+    with pytest.raises(ValueError):
+        net.set_link(1, 2, loss_probability=0.5, latency_ms=-5)
+    with pytest.raises(ValueError):
+        net.set_link(2, 1, bandwidth_kbps=0)
+    with pytest.raises(ValueError):
+        net.set_link(1, 2, latency_ms=5.0, jitter_ms=1.0)
+    assert link == SimLink(a=1, b=2, latency_ms=10.0, bandwidth_kbps=1e12)
+    # A change that passes is the one the next transmission sees.
+    net.set_link(2, 1, latency_ms=25.0)
+    assert net.transmit(2, 1, 0, lambda: None) == 25.0
+    net.set_link(1, 2, up=False)
+    with pytest.raises(LinkDown):
+        net.transmit(1, 2, 0, lambda: None)
+    with pytest.raises(KeyError):
+        net.transmit(1, 3, 0, lambda: None)
+
+
 # --- scenario loading ---
 
 def minimal_doc(**extra):
