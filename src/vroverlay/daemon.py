@@ -1,13 +1,15 @@
 """Socket daemons: a registry service and a reflector process.
 
 Both speak the newline-delimited JSON control protocol (protocol.md). The
-registry accepts reflector registrations, heartbeats, membership adverts,
-and uplinked metric events; it publishes topology snapshots and fans
-metric/notification events out to subscribers, and supervises reflectors
-by heartbeat age. Each notification also goes to stderr as one JSON line.
-Link quality, the optimizer cycle, routing install and gateway flow run in
-the shared ControlPlane (control.py), the same one the simulator drives,
-over links derived from uplinked peer metrics.
+registry daemon accepts reflector registrations, heartbeats, membership
+adverts, and uplinked metric events; it publishes topology snapshots and
+fans metric/notification events out to subscribers, and supervises
+reflectors by heartbeat age. Each notification also goes to stderr as one
+JSON line. A request that fails is answered with one negative ack whose
+error reads "<error type>: <message>". Link quality, the optimizer cycle,
+routing install and gateway flow run in its one Registry (registry.py), the
+same class the simulator drives, over links derived from uplinked peer
+metrics.
 
 A reflector daemon keeps one control connection to the registry, serves a
 media port where clients and peer reflectors connect (one JSON hello line,
@@ -17,7 +19,7 @@ and once per client disconnect, and uplinks its monitoring samples every
 collection interval.
 
 Each daemon runs its sockets and timers on one selectors loop thread, so
-the registry, control plane and reflector engine see one caller at a time
+the registry and the reflector engine see one caller at a time
 and need no lock. No socket blocks the loop: a full destination queue drops
 its oldest chunk not yet started and counts it, so a stalled receiver loses
 only its own frames. Every connection sets TCP_NODELAY, or small frames wait
@@ -42,15 +44,12 @@ from functools import partial
 from typing import Callable, Optional
 
 from .config import OverlayConfig
-from .control import ControlPlane
 from .errors import (
-    BadPattern,
     ConfigError,
     OverlayError,
     RegistryUnreachable,
     SchemaError,
     Truncated,
-    UnknownReflector,
 )
 from .model import NO_ID, LinkStats, link_key
 from .monitor import MetricCollector, MetricSample, MonitorService, compile_pattern
@@ -73,7 +72,7 @@ from .protocol import (
     routing_table_from_message,
 )
 from .reflector import ReflectorEngine
-from .registry import RegistryEntry
+from .registry import Registry, RegistryEntry
 from .supervisor import NotificationEvent, ProbeResult, RestartCommand
 from .wire import HEADER_SIZE, read_header
 
@@ -286,9 +285,8 @@ class RegistryDaemon:
         self.config = config
         self.listen_address = parse_hostport(listen or config.registry_address)
         self.monitor = MonitorService(config.series_capacity, config.budget_bytes)
-        self.control = ControlPlane(config, self._push_table)
-        self.registry = self.control.registry
-        self.supervisor = self.control.supervisor
+        self.registry = Registry(config, self._push_table)
+        self.supervisor = self.registry.supervisor
         self._by_reflector: dict = {}     # reflector id -> control _Conn
         self._subscribers: dict = {}      # _Conn -> Subscription
         self._loop = _Loop()
@@ -320,56 +318,36 @@ class RegistryDaemon:
             if not line.strip():
                 continue
             try:
-                msg = decode_message(line)
-            except SchemaError as exc:
-                conn.send_msg(make_ack(False, error="SchemaError: %s" % exc))
-                continue
-            self._dispatch(conn, msg)
+                self._dispatch(conn, decode_message(line))
+            except OverlayError as exc:
+                conn.send_msg(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
 
     def _dispatch(self, conn: _Conn, msg: dict) -> None:
         kind = msg["kind"]
         if kind == "register":
-            try:
-                epoch = self.control.register(
-                    RegistryEntry(
-                        reflector=msg["reflector"],
-                        control_address=msg["address"],
-                        region=msg.get("region", ""),
-                        registered_at=now_ms(),
-                        last_heartbeat=now_ms(),
-                    )
+            epoch = self.registry.register(
+                RegistryEntry(
+                    reflector=msg["reflector"],
+                    control_address=msg["address"],
+                    region=msg.get("region", ""),
+                    registered_at=now_ms(),
+                    last_heartbeat=now_ms(),
                 )
-            except OverlayError as exc:
-                conn.send_msg(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
-                return
+            )
             self._by_reflector[msg["reflector"]] = conn
             conn.send_msg(make_ack(True, epoch=epoch))
         elif kind == "deregister":
-            try:
-                self.control.deregister(msg["reflector"])
-            except UnknownReflector as exc:
-                conn.send_msg(make_ack(False, error=str(exc)))
-                return
+            self.registry.deregister(msg["reflector"])
             self._by_reflector.pop(msg["reflector"], None)
             conn.send_msg(make_ack(True))
         elif kind == "heartbeat":
-            try:
-                self.registry.heartbeat(msg["reflector"], msg.get("at") or now_ms())
-            except UnknownReflector:
-                conn.send_msg(make_ack(False, error="UnknownReflector"))
+            self.registry.heartbeat(msg["reflector"], msg.get("at") or now_ms())
         elif kind == "advertise":
-            try:
-                self.registry.advertise_membership(msg["reflector"], set(msg["rooms"]))
-            except UnknownReflector:
-                conn.send_msg(make_ack(False, error="UnknownReflector"))
+            self.registry.advertise_membership(msg["reflector"], set(msg["rooms"]))
         elif kind == "subscribe":
             # Checked before attaching: the ack must precede the heads of the
             # matching series, which subscribe() delivers at once.
-            try:
-                compile_pattern(msg["filter"])
-            except BadPattern as exc:
-                conn.send_msg(make_ack(False, error="BadPattern: %s" % exc))
-                return
+            compile_pattern(msg["filter"])
             self._unsubscribe(conn)
             conn.send_msg(make_ack(True))
             sub = self.monitor.subscribe(
@@ -394,7 +372,7 @@ class RegistryDaemon:
             sample = metric_sample_from_event(msg)
             self.monitor.record([sample, *self._derive_link(sample)])
         elif kind == "probe":
-            conn.send_msg(make_probe_reply(0, self.control.epoch))
+            conn.send_msg(make_probe_reply(0, self.registry.epoch))
         else:
             conn.send_msg(make_ack(False, error="unsupported kind %r" % kind))
 
@@ -417,7 +395,7 @@ class RegistryDaemon:
             return ()
         if peer == sample.reflector:
             return ()
-        current = self.control.observe_link(
+        current = self.registry.observe_link(
             LinkStats(
                 link=link_key(sample.reflector, peer),
                 rtt_ms=max(sample.value, 0.0),
@@ -437,7 +415,7 @@ class RegistryDaemon:
             conn.send_msg(make_snapshot(snap))
 
     def _optimize(self) -> None:
-        report = self.control.cycle(now_ms())
+        report = self.registry.cycle(now_ms())
         if report is not None:
             log.info("routing epoch %d installed (%d acks, %d failures)",
                      report.epoch, len(report.acks), len(report.failures))

@@ -1,25 +1,51 @@
-"""Registry of the overlay's reported state.
+"""The overlay's registry and control loop, shared by the simulator and the registry daemon.
 
-One logical writer owns the registry: reflectors register, heartbeat,
-and advertise their room membership here; the control plane reports link
-records, the installed distribution tree and gateway-flow diagnostics.
-Numbering and pushing routing tables is the ControlPlane's. Entries fall out
-of snapshots once silent longer than the liveness timeout (default three
-heartbeat intervals). The owner publishes a snapshot on a fixed interval and
-hands it to its subscribers, so a freshly registered reflector becomes
-visible within one publish interval.
+One Registry owns the overlay's state: reflectors register, heartbeat, and
+advertise their room membership here, and entries fall out of snapshots once
+silent longer than the liveness timeout (``liveness_intervals`` heartbeat
+intervals). The owner publishes a snapshot on a fixed interval and hands it
+to its subscribers, so a freshly registered reflector becomes visible within
+one publish interval.
+
+The same Registry runs the control loop: the supervisor, the per-link
+quality filters, the installed distribution tree and the last published
+routing tables. Callers feed it link measurements through ``observe_link``
+and call ``cycle`` on the optimizer period, which builds its graph from the
+registry alone: the live reflectors that are not Failed, and the link
+records, whose quality is the filter value ``observe_link`` stored. Two
+pairs of state stay apart. ``tree`` is what the hysteresis gate compares a
+candidate against, while the snapshots' tree edges lose a reflector as soon
+as it drops and regain it only at the next install. ``filters`` outlive
+dropped links; link records do not.
+
+The Registry is the only owner of routing installs: each install takes the
+next epoch (1, 2, ...) and pushes every table, in ascending reflector id
+order, through the transport. A push that raises is a failure of that
+reflector, recorded in the install's DeliveryReport and counted by the
+supervisor, never an error. The transport is injected, so the same loop
+runs inside the deterministic simulator and against real sockets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping, Optional
 
+from .config import OverlayConfig
 from .errors import DuplicateId, UnknownReflector
-from .model import LinkKey, LinkStats, ReflectorId, RoomId, link_key
-from .quality import QualityFactor
-
-DEFAULT_HEARTBEAT_INTERVAL_MS = 10_000.0
-DEFAULT_LIVENESS_INTERVALS = 3
+from .model import LinkStats, ReflectorId, RoomId, link_key
+from .optimizer import (
+    Reroute,
+    TreeResult,
+    build_graph,
+    compute_room_routes,
+    max_flow,
+    min_spanning_tree,
+    reweigh_tree,
+    should_reroute,
+)
+from .quality import QualityFactor, raw_quality, update_ewma
+from .reflector import RoutingTable
+from .supervisor import HealthState, Supervisor
 
 
 @dataclass
@@ -67,19 +93,35 @@ class TopologySnapshot:
     flow: Optional[FlowSummary] = None
 
 
+@dataclass
+class DeliveryReport:
+    """Outcome of one routing install."""
+
+    epoch: int
+    acks: list = field(default_factory=list)
+    failures: dict = field(default_factory=dict)  # ReflectorId -> reason string
+
+
 class Registry:
-    """In-process registry with heartbeat leasing and snapshot publication."""
+    """Heartbeat leasing, snapshots, link quality, tree optimization and routing install."""
 
     def __init__(
         self,
-        heartbeat_interval_ms: float = DEFAULT_HEARTBEAT_INTERVAL_MS,
-        liveness_intervals: int = DEFAULT_LIVENESS_INTERVALS,
+        config: OverlayConfig,
+        transport: Callable[[ReflectorId, RoutingTable], None],
     ):
-        self.liveness_timeout_ms = heartbeat_interval_ms * liveness_intervals
-        self._entries: dict = {}          # ReflectorId -> RegistryEntry
+        self.config = config
+        self.transport = transport  # raises when the reflector is unreachable
+        self.liveness_timeout_ms = config.heartbeat_interval_ms * config.liveness_intervals
+        self.supervisor = Supervisor(config.k_miss, recipients=config.admins)
+        self.filters: dict = {}  # link key -> QualityFactor; outlives dropped links
+        self.tree: Optional[TreeResult] = None  # the last install's tree, for the gate
+        self.tables: dict = {}   # reflector id -> last published RoutingTable
+        self.epoch = 0           # epoch of the last install; 0 before the first
+        self._entries: dict = {}             # ReflectorId -> RegistryEntry
         self._rooms_by_reflector: dict = {}  # ReflectorId -> set of RoomId
-        self._links: dict = {}            # LinkKey -> LinkRecord
-        self._tree_edges: frozenset = frozenset()
+        self._links: dict = {}               # LinkKey -> LinkRecord
+        self._tree_edges: frozenset = frozenset()  # snapshots' tree; pruned on each drop
         self._flow: Optional[FlowSummary] = None
         self._snapshot_epoch = 0
         self._latest: Optional[TopologySnapshot] = None
@@ -87,19 +129,29 @@ class Registry:
     # --- membership of the overlay itself ---
 
     def register(self, entry: RegistryEntry) -> int:
-        """Add a reflector; returns the current epoch."""
+        """Admit a reflector and watch it; returns the snapshot epoch.
+
+        A Failed reflector that registers again has been restarted, so its
+        supervision resumes; that is the only way out of Failed.
+        """
         if entry.reflector in self._entries:
             raise DuplicateId("reflector %d already registered" % entry.reflector)
         if entry.last_heartbeat < entry.registered_at:
             entry = replace(entry, last_heartbeat=entry.registered_at)
         self._entries[entry.reflector] = entry
         self._rooms_by_reflector.setdefault(entry.reflector, set())
+        if self.supervisor.watch(entry.reflector).state is HealthState.FAILED:
+            self.supervisor.clear_failed(entry.reflector)
         return self._snapshot_epoch
 
     def deregister(self, reflector: ReflectorId) -> None:
+        """Forget a reflector that left on purpose, filters included."""
         if reflector not in self._entries:
             raise UnknownReflector("reflector %d is not registered" % reflector)
         self._drop(reflector)
+        self.supervisor.unwatch(reflector)
+        for key in [k for k in self.filters if reflector in k]:
+            del self.filters[key]
 
     def heartbeat(self, reflector: ReflectorId, at: float) -> None:
         entry = self._entries.get(reflector)
@@ -149,10 +201,17 @@ class Registry:
                 out.setdefault(room, set()).add(rid)
         return out
 
-    # --- link table and optimizer feedback ---
+    # --- link table ---
 
-    def report_link(self, stats: LinkStats, quality: QualityFactor) -> None:
-        self._links[stats.link] = LinkRecord(stats, quality)
+    def observe_link(self, stats: LinkStats) -> QualityFactor:
+        """Fold one link measurement into its filter and record it."""
+        key = stats.link
+        prev = self.filters.get(key, QualityFactor(link=key, alpha=self.config.alpha))
+        sample = raw_quality(stats.loss_fraction, stats.rtt_ms, self.config.rtt_ref_ms)
+        current = update_ewma(prev, sample, stats.sampled_at)
+        self.filters[key] = current
+        self._links[key] = LinkRecord(stats, current)
+        return current
 
     def drop_link(self, a: ReflectorId, b: ReflectorId) -> None:
         self._links.pop(link_key(a, b), None)
@@ -165,11 +224,65 @@ class Registry:
             if k[0] in live and k[1] in live
         ]
 
-    def set_tree(self, edges: Iterable[LinkKey]) -> None:
-        self._tree_edges = frozenset(edges)
+    # --- optimizer cycle and routing install ---
 
-    def set_flow(self, flow: Optional[FlowSummary]) -> None:
-        self._flow = flow
+    def cycle(self, now: float) -> Optional[DeliveryReport]:
+        """One optimizer period; reports the install it made, if any.
+
+        After an install, ``tree`` and ``tables`` hold what was installed.
+        """
+        self.expire(now)
+        live = frozenset(e.reflector for e in self.entries())
+        graph = build_graph(live - self.supervisor.failed(), self.links(), self.config.q_min)
+        candidate = min_spanning_tree(graph)
+        if (
+            self.tree is None
+            or self.tree.covers != candidate.covers
+            or self.tree.components != candidate.components
+        ):
+            # Topology membership changed (registration, expiry, or a split
+            # component rejoining): the gate only arbitrates same-shape trees.
+            install = True
+        else:
+            current, dead = reweigh_tree(self.tree, graph)
+            install = should_reroute(
+                current, candidate, self.config.delta, dead
+            ) is Reroute.INSTALL
+        done = self._install(candidate) if install and candidate.covers else None
+
+        if self.config.gateway_pair is not None:
+            src, dst = self.config.gateway_pair
+            if src in graph.vertices and dst in graph.vertices and src != dst:
+                flow = max_flow(graph, src, dst)
+                self._flow = FlowSummary(
+                    source=src,
+                    sink=dst,
+                    value=flow.value,
+                    edges=flow.positive_flow_edges(),
+                )
+            else:
+                self._flow = None
+        return done
+
+    def _install(self, tree: TreeResult) -> DeliveryReport:
+        self.epoch += 1
+        members_by_room = {}
+        for room, hosts in self.room_members().items():
+            on_tree = hosts & tree.covers
+            if on_tree:
+                members_by_room[room] = on_tree
+        self.tables = compute_room_routes(tree, members_by_room, self.epoch)
+        report = DeliveryReport(epoch=self.epoch)
+        for rid in sorted(self.tables):
+            try:
+                self.transport(rid, self.tables[rid])
+                report.acks.append(rid)
+            except Exception as exc:  # delivery failure is data, not an error
+                report.failures[rid] = "%s: %s" % (type(exc).__name__, exc)
+                self.supervisor.note_unreachable(rid)
+        self._tree_edges = frozenset(tree.edges)
+        self.tree = tree
+        return report
 
     # --- snapshots ---
 

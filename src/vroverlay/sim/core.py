@@ -154,11 +154,12 @@ class SimNetwork:
         """Send nbytes from a to b; schedules `on_deliver(*args)` or drops.
 
         Returns the scheduled delivery time, or None when the loss draw
-        dropped the transmission. Raises LinkDown if the link is down, KeyError if none.
+        dropped the transmission. Raises LinkDown if the link is down, and
+        then counts nothing as sent; KeyError if there is no link.
         """
         link, counters, rng = self._records[(a, b) if a < b else (b, a)]
-        counters.sent += 1
         at = deliver_or_drop(link, nbytes, rng, self.loop.now)
+        counters.sent += 1
         if at is None:
             counters.lost += 1
             return None

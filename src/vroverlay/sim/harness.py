@@ -1,9 +1,9 @@
 """Whole-overlay simulation: every module wired over the event loop.
 
 One OverlaySim owns the reflector engines, the metric service and a
-ControlPlane (registry, quality filters, optimizer cycle, supervisor; the
-registry daemon runs the same class), all driven by the discrete-event
-clock. Media packets travel over simulated links (latency, loss,
+Registry (leases, quality filters, optimizer cycle, routing installs,
+supervisor; the registry daemon runs the same class), all driven by the
+discrete-event clock. Media packets travel over simulated links (latency, loss,
 serialization delay); control traffic (heartbeats, advertisements, routing
 installs, probes) is delivered in-process at event time, gated on the
 target being alive and un-partitioned.
@@ -37,12 +37,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..config import OverlayConfig, apply_overrides
-from ..control import ControlPlane
 from ..errors import LinkDown, OverlayError, RegistryUnreachable
 from ..model import NO_ID, LinkStats
 from ..monitor import MetricCollector, MonitorService
 from ..reflector import ReflectorEngine
-from ..registry import RegistryEntry
+from ..registry import Registry, RegistryEntry
 from ..supervisor import NotificationEvent, ProbeResult, RestartCommand
 from ..wire import HEADER_SIZE
 from .core import EventLoop, SimLink, SimNetwork
@@ -251,9 +250,8 @@ class OverlaySim:
         self._partition_down: set = set()
 
         self.notifications: list = []  # NotificationEvents, in supervision order
-        self.control = ControlPlane(self.config, self._install_table)
-        self.registry = self.control.registry
-        self.supervisor = self.control.supervisor
+        self.registry = Registry(self.config, self._install_table)
+        self.supervisor = self.registry.supervisor
         self.monitor = MonitorService(
             series_capacity=self.config.series_capacity,
             budget_bytes=self.config.budget_bytes,
@@ -304,7 +302,7 @@ class OverlaySim:
         return node
 
     def _register(self, node: SimNode, at: float) -> None:
-        self.control.register(RegistryEntry(
+        self.registry.register(RegistryEntry(
             reflector=node.id,
             control_address="sim://%d" % node.id,
             region=node.region,
@@ -356,7 +354,7 @@ class OverlaySim:
 
     def _resync_routing(self, rid: int) -> None:
         """Reconnected reflectors fetch the current epoch's table."""
-        table = self.control.tables.get(rid)
+        table = self.registry.tables.get(rid)
         node = self.nodes.get(rid)
         if table is not None and node is not None and node.engine.routing.epoch < table.epoch:
             node.engine.swap_routing_table(table)
@@ -386,7 +384,7 @@ class OverlaySim:
                 capacity_kbps=link.bandwidth_kbps,
                 sampled_at=now,
             )
-            self.control.observe_link(stats)
+            self.registry.observe_link(stats)
             per_node_links[a].append(stats)
             per_node_links[b].append(stats)
         if self.monitoring:
@@ -395,14 +393,14 @@ class OverlaySim:
                 node = self.nodes[rid]
                 if node.alive:
                     samples += node.collector.collect(
-                        node.engine, per_node_links[rid], self.control.filters, now)
+                        node.engine, per_node_links[rid], self.registry.filters, now)
             self.monitor.record(samples)
         self.loop.schedule_in(self.config.monitor_interval_ms, self._monitor_tick)
 
     def _optimizer_cycle(self) -> None:
-        report = self.control.cycle(self.loop.now)
+        report = self.registry.cycle(self.loop.now)
         if report is not None:
-            tree = self.control.tree
+            tree = self.registry.tree
             for rid, reason in sorted(report.failures.items()):
                 self._trace("install_failed", reason, rid)
             self.routing_epochs.append(report.epoch)

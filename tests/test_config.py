@@ -14,7 +14,7 @@ def test_defaults_match_documented_values():
     assert cfg.delta == 0.05
     assert cfg.heartbeat_interval_ms == 10_000.0
     assert cfg.liveness_intervals == 3
-    assert Registry(cfg.heartbeat_interval_ms, cfg.liveness_intervals).liveness_timeout_ms == 30_000.0
+    assert Registry(cfg, lambda rid, table: None).liveness_timeout_ms == 30_000.0
     assert cfg.k_miss == 2
     assert cfg.probe_deadline_ms == 2_000.0
     assert cfg.series_capacity == 4096

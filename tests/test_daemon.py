@@ -16,6 +16,9 @@ from vroverlay.monitor import MetricSample
 from vroverlay.protocol import (
     decode_message,
     encode_message,
+    make_advertise,
+    make_deregister,
+    make_heartbeat,
     make_hello_client,
     make_metric_event,
     make_probe,
@@ -426,6 +429,16 @@ def test_duplicate_registration_raises(registry):
         ref.shutdown()
 
 
+def test_requests_for_an_unknown_reflector_are_nacked_with_the_error_type(registry):
+    with socket.create_connection(("127.0.0.1", registry.port), timeout=5) as sock:
+        sock.sendall(b"".join(encode_message(msg).encode() for msg in (
+            make_deregister(9), make_heartbeat(9, 1.0), make_advertise(9, {1}))))
+        reader = sock.makefile("r")
+        replies = [decode_message(reader.readline()) for _ in range(3)]
+    assert [(m["kind"], m["ok"]) for m in replies] == [("ack", False)] * 3
+    assert all(m["error"].startswith("UnknownReflector: ") for m in replies), replies
+
+
 def test_client_disconnect_detaches_and_advertises(registry):
     ref = reflector(registry, 7)
     try:
@@ -472,9 +485,9 @@ def test_reregistration_clears_failed_and_rejoins_tree():
         # Reflector 9 never heartbeats: it expires, misses its probes and
         # fails both restarts, so the tree shrinks to reflector 1 alone.
         assert wait_for(lambda: 9 in daemon.supervisor.failed())
-        assert wait_for(lambda: daemon.control.tree.covers == {1})
+        assert wait_for(lambda: daemon.registry.tree.covers == {1})
         sock.sendall(register)
-        assert wait_for(lambda: 9 in daemon.control.tree.covers)
+        assert wait_for(lambda: 9 in daemon.registry.tree.covers)
         assert daemon.supervisor.records[9].state is not HealthState.FAILED
     finally:
         sock.close()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from vroverlay.cli import main
 from vroverlay.export import snapshot_to_json
 from vroverlay.sim import OverlaySim, load_scenario, load_scenario_file
+from vroverlay.sim.core import _fire
 from vroverlay.sim.harness import _CHUNK_EVENTS, _JSON_FIELDS, _TRACE_FIELDS
 from vroverlay.supervisor import HealthState
 
@@ -512,7 +513,7 @@ def test_partition_heals_and_resyncs_routing():
     )
     sim = OverlaySim(load_scenario(doc))
     report = sim.run()
-    assert sim.nodes[3].engine.routing.epoch == sim.control.epoch
+    assert sim.nodes[3].engine.routing.epoch == sim.registry.epoch
     resyncs = [e for e in report.trace if e["kind"] == "resync_routing"]
     installs = [e for e in report.trace if e["kind"] == "routing"]
     assert resyncs or installs[-1]["acks"] == 3
@@ -719,6 +720,25 @@ def test_chaos_soak_survives_random_fault_schedules():
         assert first.transmissions_in_flight >= 0
         second = run_doc(base)
         assert first.trace_hash() == second.trace_hash(), "round %d" % round_no
+
+
+def test_link_down_drops_leave_no_transmission_in_flight():
+    doc = {
+        "name": "link-down", "seed": 3, "duration_ms": 2000,
+        "reflectors": [{"id": 1}, {"id": 2}],
+        "links": [{"a": 1, "b": 2, "latency_ms": 10}],
+        "clients": [{"id": 1, "reflector": 1}, {"id": 2, "reflector": 2}],
+        "rooms": [{"id": 1, "members": [1, 2]}],
+        "events": [
+            {"t": 500, "action": "set_link", "a": 1, "b": 2, "up": False},
+            {"t": 1000, "action": "inject", "room": 1, "src": 1, "count": 3},
+        ],
+    }
+    sim = OverlaySim(load_scenario(doc))
+    report = sim.run()
+    assert report.media.dropped_link_down == 3
+    pending = [entry for entry in sim.loop._queue if entry[2] is _fire]
+    assert report.transmissions_in_flight == len(pending)
 
 
 def test_causality_no_delivery_before_injection_plus_latency():

@@ -1,6 +1,9 @@
-"""Every module under src/vroverlay uses each name it imports."""
+"""Imports under src/vroverlay: each name used, and the daemons' import boundary."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vroverlay"
 
@@ -21,3 +24,13 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append("%s:%d %s" % (path.relative_to(SRC), node.lineno, name))
     assert not unused
+
+
+def test_daemon_processes_never_load_the_simulator():
+    code = ("import sys, vroverlay.cli, vroverlay.daemon; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('vroverlay'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "vroverlay.daemon" in out
+    assert [m for m in out if m.startswith(("vroverlay.sim", "vroverlay.control"))] == []

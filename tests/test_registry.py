@@ -1,9 +1,9 @@
 """Registry: leasing, advertisement, link records, snapshots."""
 import pytest
 
+from vroverlay.config import OverlayConfig
 from vroverlay.errors import DuplicateId, UnknownReflector
 from vroverlay.model import LinkStats
-from vroverlay.quality import QualityFactor
 from vroverlay.registry import Registry, RegistryEntry
 
 
@@ -21,14 +21,17 @@ def live_ids(snap):
     return frozenset(e.reflector for e in snap.reflectors)
 
 
-def link_record(a, b, q=1.0, at=0.0):
-    stats = LinkStats(link=(a, b), rtt_ms=20.0, loss_fraction=0.0,
-                      capacity_kbps=1000.0, sampled_at=at)
-    return stats, QualityFactor(link=(a, b), q=q, sample_count=1)
+def link_stats(a, b, at=0.0):
+    return LinkStats(link=(a, b), rtt_ms=20.0, loss_fraction=0.0,
+                     capacity_kbps=1000.0, sampled_at=at)
+
+
+def make_registry(**config):
+    return Registry(OverlayConfig(**config), lambda rid, table: None)
 
 
 def test_register_into_empty_registry():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     snap = reg.publish_snapshot(0.0)
     assert [e.reflector for e in snap.reflectors] == [1]
@@ -37,14 +40,14 @@ def test_register_into_empty_registry():
 
 
 def test_register_duplicate_rejected_while_live():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     with pytest.raises(DuplicateId):
         reg.register(entry(1))
 
 
 def test_reregistration_allowed_after_expiry():
-    reg = Registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
+    reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
     reg.register(entry(1, at=0.0))
     reg.expire(31.0)
     reg.register(entry(1, at=40.0))  # no DuplicateId: old lease expired
@@ -52,7 +55,7 @@ def test_reregistration_allowed_after_expiry():
 
 
 def test_heartbeat_keeps_entry_live_and_silence_expires_it():
-    reg = Registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
+    reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
     reg.register(entry(1, at=0.0))
     reg.register(entry(2, at=0.0))
     for t in (10.0, 20.0, 30.0, 40.0):
@@ -65,20 +68,20 @@ def test_heartbeat_keeps_entry_live_and_silence_expires_it():
 
 
 def test_heartbeat_unknown_reflector():
-    reg = Registry()
+    reg = make_registry()
     with pytest.raises(UnknownReflector):
         reg.heartbeat(9, 1.0)
 
 
 def test_heartbeat_exactly_at_timeout_survives():
-    reg = Registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
+    reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
     reg.register(entry(1, at=0.0))
     assert reg.expire(30.0) == []     # strict >: exactly 3 intervals is alive
     assert reg.expire(30.1) == [1]
 
 
 def test_advertise_membership_and_room_members_view():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     reg.register(entry(2))
     reg.advertise_membership(2, {7})
@@ -90,19 +93,18 @@ def test_advertise_membership_and_room_members_view():
 
 
 def test_advertise_unknown_reflector():
-    reg = Registry()
+    reg = make_registry()
     with pytest.raises(UnknownReflector):
         reg.advertise_membership(5, {1})
 
 
 def test_snapshot_prunes_dead_reflectors_everywhere():
-    reg = Registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
+    reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
     reg.register(entry(1, at=0.0))
     reg.register(entry(2, at=0.0))
     reg.advertise_membership(2, {7})
-    stats, qf = link_record(1, 2)
-    reg.report_link(stats, qf)
-    reg.set_tree({(1, 2)})
+    reg.observe_link(link_stats(1, 2))
+    assert reg.cycle(0.0).epoch == 1
     reg.heartbeat(1, 40.0)
     snap = reg.publish_snapshot(40.0)  # 2 expired
     assert live_ids(snap) == frozenset({1})
@@ -112,12 +114,11 @@ def test_snapshot_prunes_dead_reflectors_everywhere():
 
 
 def test_snapshot_internal_consistency_with_links():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     reg.register(entry(2))
-    stats, qf = link_record(1, 2, q=0.9)
-    reg.report_link(stats, qf)
-    reg.set_tree({(1, 2)})
+    reg.observe_link(link_stats(1, 2))
+    assert reg.cycle(0.0).epoch == 1
     reg.advertise_membership(1, {4})
     snap = reg.publish_snapshot(1.0)
     live = live_ids(snap)
@@ -130,14 +131,14 @@ def test_snapshot_internal_consistency_with_links():
 
 
 def test_snapshot_epochs_strictly_increase():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     epochs = [reg.publish_snapshot(float(t)).epoch for t in range(5)]
     assert epochs == [1, 2, 3, 4, 5]
 
 
 def test_subscriber_sees_new_reflector_within_one_publish():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     assert live_ids(reg.publish_snapshot(0.0)) == {1}
     reg.register(entry(4))
@@ -146,9 +147,29 @@ def test_subscriber_sees_new_reflector_within_one_publish():
 
 
 def test_deregister_removes_entry():
-    reg = Registry()
+    reg = make_registry()
     reg.register(entry(1))
     reg.deregister(1)
     assert not reg.is_live(1)
     with pytest.raises(UnknownReflector):
         reg.deregister(1)
+
+
+def test_tree_edges_pruned_on_expiry_stay_pruned_until_the_next_install():
+    reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
+    reg.register(entry(1))
+    reg.register(entry(2))
+    reg.observe_link(link_stats(1, 2))
+    assert reg.cycle(0.0).epoch == 1
+    reg.heartbeat(1, 40.0)
+    assert reg.expire(40.0) == [2]
+    # 2 comes back before the next cycle: its lease and link return, the
+    # snapshots' tree does not, while the gate still holds the installed tree.
+    reg.register(entry(2, at=40.0))
+    reg.observe_link(link_stats(1, 2, at=40.0))
+    assert reg.publish_snapshot(40.0).tree_edges == frozenset()
+    assert reg.tree.edges == {(1, 2)}
+    reg.register(entry(3, at=40.0))
+    reg.observe_link(link_stats(2, 3, at=40.0))
+    assert reg.cycle(41.0).epoch == 2
+    assert reg.publish_snapshot(41.0).tree_edges == {(1, 2), (2, 3)}
