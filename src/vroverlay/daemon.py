@@ -9,14 +9,15 @@ JSON line. A request that fails is answered with one negative ack whose
 error reads "<error type>: <message>". Link quality, the optimizer cycle,
 routing install and gateway flow run in its one Registry (registry.py), the
 same class the simulator drives, over links derived from uplinked peer
-metrics.
+metrics. Leases run on the registry's clock. A reflector that registers
+gets its table from the last install, if it has one, right after the ack.
 
 A reflector daemon keeps one control connection to the registry, serves a
 media port where clients and peer reflectors connect (one JSON hello line,
 then framed media packets, relayed as they arrived after one header check),
 applies pushed routing tables, advertises its rooms once per client hello
 and once per client disconnect, and uplinks its monitoring samples every
-collection interval.
+collection interval. Nacked as an unknown reflector, it registers again.
 
 Each daemon runs its sockets and timers on one selectors loop thread, so
 the registry and the reflector engine see one caller at a time
@@ -336,12 +337,15 @@ class RegistryDaemon:
             )
             self._by_reflector[msg["reflector"]] = conn
             conn.send_msg(make_ack(True, epoch=epoch))
+            table = self.registry.tables.get(msg["reflector"])
+            if table is not None:  # a returning reflector's installed table
+                self._push_table(msg["reflector"], table)
         elif kind == "deregister":
             self.registry.deregister(msg["reflector"])
             self._by_reflector.pop(msg["reflector"], None)
             conn.send_msg(make_ack(True))
         elif kind == "heartbeat":
-            self.registry.heartbeat(msg["reflector"], msg.get("at") or now_ms())
+            self.registry.heartbeat(msg["reflector"], now_ms())  # stamped on receipt
         elif kind == "advertise":
             self.registry.advertise_membership(msg["reflector"], set(msg["rooms"]))
         elif kind == "subscribe":
@@ -477,8 +481,10 @@ class ReflectorDaemon:
         host, port = parse_hostport(self.config.listen)
         accept = partial(_Conn, self._loop, on_data=self._on_hello)
         self.port = self._loop.listen((host, port), accept).getsockname()[1]
+        self._registration = make_register(self.config.reflector_id,
+                                           "%s:%d" % (host, self.port), self.config.region)
         try:
-            self._register("%s:%d" % (host, self.port))
+            self._register()
         except BaseException:
             self._loop.close()
             raise
@@ -496,7 +502,7 @@ class ReflectorDaemon:
 
     # --- control plane ---
 
-    def _register(self, address: str) -> None:
+    def _register(self) -> None:
         """Blocking register/ack exchange; any socket error is RegistryUnreachable."""
         registry = self.config.registry_address
         try:
@@ -504,7 +510,7 @@ class ReflectorDaemon:
             conn = self._control = _Conn(self._loop, sock, self._on_control,
                                          limit=self.config.subscriber_queue)
             sock.settimeout(5.0)
-            conn.send_msg(make_register(self.config.reflector_id, address, self.config.region))
+            conn.send_msg(self._registration)
             while (line := _pop_line(conn.inbuf)) is None:
                 data = sock.recv(4096)
                 if not data:
@@ -532,9 +538,15 @@ class ReflectorDaemon:
                 continue
             if msg["kind"] == "install_routing" and msg["reflector"] == self.config.reflector_id:
                 try:
-                    self.engine.swap_routing_table(routing_table_from_message(msg))
+                    table = routing_table_from_message(msg)
+                    if table.epoch != self.engine.routing.epoch:  # else a resync of this table
+                        self.engine.swap_routing_table(table)
                 except OverlayError as exc:
                     log.warning("rejected routing table: %s", exc)
+            elif msg["kind"] == "ack" and msg.get("error", "").startswith("UnknownReflector: "):
+                # Dropped (lease expired, or deregistered elsewhere): join again.
+                conn.send_msg(self._registration)
+                self._advertise()
 
     def _advertise(self) -> None:
         """Send the whole room set; each membership change sends it once."""

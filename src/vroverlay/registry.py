@@ -12,11 +12,11 @@ quality filters, the installed distribution tree and the last published
 routing tables. Callers feed it link measurements through ``observe_link``
 and call ``cycle`` on the optimizer period, which builds its graph from the
 registry alone: the live reflectors that are not Failed, and the link
-records, whose quality is the filter value ``observe_link`` stored. Two
-pairs of state stay apart. ``tree`` is what the hysteresis gate compares a
-candidate against, while the snapshots' tree edges lose a reflector as soon
-as it drops and regain it only at the next install. ``filters`` outlive
-dropped links; link records do not.
+records, whose quality is the filter value ``observe_link`` stored.
+``tree`` and ``tables`` are the only record of the installed routing: the
+hysteresis gate, the snapshots and a returning reflector's resync read them.
+One pair of state stays apart: ``filters`` outlive dropped links; link
+records do not.
 
 The Registry is the only owner of routing installs: each install takes the
 next epoch (1, 2, ...) and pushes every table, in ascending reflector id
@@ -115,16 +115,15 @@ class Registry:
         self.liveness_timeout_ms = config.heartbeat_interval_ms * config.liveness_intervals
         self.supervisor = Supervisor(config.k_miss, recipients=config.admins)
         self.filters: dict = {}  # link key -> QualityFactor; outlives dropped links
-        self.tree: Optional[TreeResult] = None  # the last install's tree, for the gate
+        self.tree: Optional[TreeResult] = None  # the last install's tree
         self.tables: dict = {}   # reflector id -> last published RoutingTable
         self.epoch = 0           # epoch of the last install; 0 before the first
         self._entries: dict = {}             # ReflectorId -> RegistryEntry
         self._rooms_by_reflector: dict = {}  # ReflectorId -> set of RoomId
         self._links: dict = {}               # LinkKey -> LinkRecord
-        self._tree_edges: frozenset = frozenset()  # snapshots' tree; pruned on each drop
         self._flow: Optional[FlowSummary] = None
         self._snapshot_epoch = 0
-        self._latest: Optional[TopologySnapshot] = None
+        self.latest_snapshot: Optional[TopologySnapshot] = None
 
     # --- membership of the overlay itself ---
 
@@ -139,7 +138,6 @@ class Registry:
         if entry.last_heartbeat < entry.registered_at:
             entry = replace(entry, last_heartbeat=entry.registered_at)
         self._entries[entry.reflector] = entry
-        self._rooms_by_reflector.setdefault(entry.reflector, set())
         if self.supervisor.watch(entry.reflector).state is HealthState.FAILED:
             self.supervisor.clear_failed(entry.reflector)
         return self._snapshot_epoch
@@ -175,7 +173,6 @@ class Registry:
         self._rooms_by_reflector.pop(reflector, None)
         for key in [k for k in self._links if reflector in k]:
             del self._links[key]
-        self._tree_edges = frozenset(e for e in self._tree_edges if reflector not in e)
 
     def entries(self) -> list:
         return [self._entries[rid] for rid in sorted(self._entries)]
@@ -232,7 +229,7 @@ class Registry:
         After an install, ``tree`` and ``tables`` hold what was installed.
         """
         self.expire(now)
-        live = frozenset(e.reflector for e in self.entries())
+        live = frozenset(self._entries)
         graph = build_graph(live - self.supervisor.failed(), self.links(), self.config.q_min)
         candidate = min_spanning_tree(graph)
         if (
@@ -280,7 +277,6 @@ class Registry:
             except Exception as exc:  # delivery failure is data, not an error
                 report.failures[rid] = "%s: %s" % (type(exc).__name__, exc)
                 self.supervisor.note_unreachable(rid)
-        self._tree_edges = frozenset(tree.edges)
         self.tree = tree
         return report
 
@@ -292,11 +288,13 @@ class Registry:
             room: frozenset(members)
             for room, members in sorted(self.room_members().items())
         }
+        live = self._entries
+        installed = self.tree.edges if self.tree is not None else ()
         return TopologySnapshot(
             epoch=self._snapshot_epoch + 1,
             reflectors=tuple(replace(e) for e in self.entries()),
             links=tuple(self.links()),
-            tree_edges=self._tree_edges,
+            tree_edges=frozenset(e for e in installed if e[0] in live and e[1] in live),
             room_members=room_members,
             flow=self._flow,
         )
@@ -306,9 +304,5 @@ class Registry:
         self.expire(now)
         snapshot = self.build_snapshot()
         self._snapshot_epoch = snapshot.epoch
-        self._latest = snapshot
+        self.latest_snapshot = snapshot
         return snapshot
-
-    @property
-    def latest_snapshot(self) -> Optional[TopologySnapshot]:
-        return self._latest

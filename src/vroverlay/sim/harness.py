@@ -259,7 +259,6 @@ class OverlaySim:
         self.nodes: dict = {}         # reflector id -> SimNode
         self.client_home: dict = {}   # client id -> reflector id
         self.room_clients: dict = {}  # room id -> set of client ids
-        self.routing_epochs: list = []
         self.delivered_to: dict = {}  # packet key -> {client: count}
         self.expected_receivers: dict = {}  # packet key -> frozenset of clients
         self._seq: dict = {}          # (room, src) -> next seq
@@ -403,7 +402,6 @@ class OverlaySim:
             tree = self.registry.tree
             for rid, reason in sorted(report.failures.items()):
                 self._trace("install_failed", reason, rid)
-            self.routing_epochs.append(report.epoch)
             self._trace("routing", len(report.acks), sorted(list(e) for e in tree.edges),
                         report.epoch, len(report.failures), round(tree.total_weight, 9))
         self.loop.schedule_in(self.config.optimizer_period_ms, self._optimizer_cycle)
@@ -582,7 +580,7 @@ class OverlaySim:
             unknown_room_drops=sum(
                 n.engine.counters.unknown_room_drops for n in self.nodes.values()
             ),
-            routing_epochs=list(self.routing_epochs),
+            routing_epochs=list(range(1, self.registry.epoch + 1)),
             notifications=list(self.notifications),
             violations=list(self.violations),
             trace=self.trace,
@@ -611,7 +609,7 @@ class OverlaySim:
                 self._violate(
                     "expected %d notifications, got %d" % (expect["notifications"], got)
                 )
-        epochs = len(self.routing_epochs)
+        epochs = self.registry.epoch
         if "min_routing_epochs" in expect and epochs < expect["min_routing_epochs"]:
             self._violate(
                 "expected at least %d routing epochs, got %d"

@@ -123,11 +123,3 @@ def read_header(buf: bytes, offset: int = 0) -> tuple:
             % (payload_len, len(buf) - offset - HEADER_SIZE)
         )
     return room, src, seq, ts, tag, flags, end
-
-
-def frame_size(buf: bytes, offset: int = 0) -> int | None:
-    """Total size of the frame at ``offset`` if its header is complete, else None."""
-    if len(buf) - offset < HEADER_SIZE:
-        return None
-    (payload_len,) = struct.unpack_from(">H", buf, offset + 22)
-    return HEADER_SIZE + payload_len

@@ -8,9 +8,10 @@ import time
 
 import pytest
 
+from vroverlay import daemon as daemon_module
 from vroverlay.config import load_config
-from vroverlay.daemon import ReflectorDaemon, RegistryDaemon
-from vroverlay.errors import RegistryUnreachable
+from vroverlay.daemon import ReflectorDaemon, RegistryDaemon, now_ms
+from vroverlay.errors import RegistryUnreachable, Truncated
 from vroverlay.model import MediaPacket, PayloadType
 from vroverlay.monitor import MetricSample
 from vroverlay.protocol import (
@@ -25,9 +26,10 @@ from vroverlay.protocol import (
     make_register,
     make_snapshot_request,
     make_subscribe,
+    routing_table_from_message,
 )
 from vroverlay.supervisor import HealthState
-from vroverlay.wire import encode_media_packet, frame_size, read_media_packet
+from vroverlay.wire import encode_media_packet, read_media_packet
 
 FAST = {
     "heartbeat_interval_ms": 150,
@@ -73,13 +75,15 @@ def client_socket(port, client_id, rooms):
 def recv_frame(sock, timeout=8.0):
     sock.settimeout(timeout)
     buf = b""
-    while frame_size(buf) is None or len(buf) < frame_size(buf):
+    while True:
+        try:
+            return read_media_packet(buf)[0]
+        except Truncated:
+            pass
         chunk = sock.recv(65536)
         if not chunk:
             raise AssertionError("media socket closed before a full frame")
         buf += chunk
-    packet, _ = read_media_packet(buf)
-    return packet
 
 
 def test_local_clients_relay_through_one_reflector(registry):
@@ -495,6 +499,109 @@ def test_reregistration_clears_failed_and_rejoins_tree():
         daemon.stop()
 
 
+class StandIn:
+    """A control connection that keeps the kinds of the messages sent on it."""
+
+    closed = False
+
+    def __init__(self):
+        self.kinds = []
+
+    def send_msg(self, msg):
+        self.kinds.append(msg["kind"])
+
+
+def test_reflector_registering_again_gets_its_installed_table_back():
+    daemon = RegistryDaemon(load_config(None, {}), listen="127.0.0.1:0")
+
+    def dispatch(conn, msg):
+        daemon._dispatch(conn, decode_message(encode_message(msg)))
+
+    def observe_link():
+        dispatch(one, make_metric_event(MetricSample(1, "peer.2.rtt_ms", 5.0, now_ms())))
+
+    one, two, again = StandIn(), StandIn(), StandIn()
+    try:
+        dispatch(one, make_register(1, "127.0.0.1:1"))
+        dispatch(two, make_register(2, "127.0.0.1:2"))
+        observe_link()
+        assert daemon.registry.cycle(now_ms()).epoch == 1
+        assert two.kinds == ["ack", "install_routing"]
+        # Reflector 2 restarts within one optimizer period.
+        dispatch(two, make_deregister(2))
+        dispatch(again, make_register(2, "127.0.0.1:2"))
+        observe_link()
+        assert again.kinds == ["ack", "install_routing"]
+        assert daemon.registry.cycle(now_ms()) is None
+        assert daemon.registry.publish_snapshot(now_ms()).tree_edges == {(1, 2)}
+    finally:
+        daemon._loop.close()
+
+
+def test_lease_runs_on_the_registry_clock():
+    daemon = RegistryDaemon(load_config(None, {
+        "heartbeat_interval_ms": 100, "publish_interval_ms": 100, "optimizer_period_ms": 100,
+        "probe_interval_ms": 100, "probe_deadline_ms": 100}), listen="127.0.0.1:0")
+    daemon.start()
+    behind = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    ahead = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    try:
+        for sock, rid in ((behind, 9), (ahead, 8)):
+            sock.sendall(encode_message(make_register(rid, "127.0.0.1:%d" % rid)).encode())
+            with sock.makefile("r") as reader:
+                assert decode_message(reader.readline())["ok"]
+        # Reflector 8's clock runs an hour ahead, and it goes silent after
+        # one heartbeat. Reflector 9's clock runs a minute behind, and it
+        # heartbeats every 50 ms for one second.
+        hour, minute = 3_600_000, 60_000
+        ahead.sendall(encode_message(make_heartbeat(8, now_ms() + hour)).encode())
+        live = []
+        for _ in range(20):
+            behind.sendall(encode_message(make_heartbeat(9, now_ms() - minute)).encode())
+            time.sleep(0.05)
+            live.append(daemon.registry.is_live(9))
+        assert all(live), live
+        assert daemon.supervisor.records[9].state is HealthState.UP
+        assert not daemon.registry.is_live(8)
+        assert daemon.supervisor.records[8].state is not HealthState.UP
+    finally:
+        behind.close()
+        ahead.close()
+        daemon.stop()
+
+
+def test_reflector_dropped_by_another_connection_registers_again(registry, caplog,
+                                                                   monkeypatch):
+    caplog.set_level(logging.WARNING, logger="vroverlay.daemon")
+    epochs = []
+
+    def received(msg):
+        epochs.append(msg["epoch"])
+        return routing_table_from_message(msg)
+
+    monkeypatch.setattr(daemon_module, "routing_table_from_message", received)
+    ref = reflector(registry, 9)
+    client = client_socket(ref.port, 1, [5])
+    try:
+        assert wait_for(lambda: registry.registry.room_members() == {5: {9}}
+                        and ref.engine.routing.epoch >= 1)
+        held = ref.engine.routing.epoch
+        with socket.create_connection(("127.0.0.1", registry.port), timeout=5) as other:
+            other.sendall(encode_message(make_deregister(9)).encode())
+            with other.makefile("r") as reader:
+                assert decode_message(reader.readline())["ok"]
+        pushed = len(epochs)
+        # Its next heartbeat is nacked: it registers again, advertises its
+        # rooms, and the registry hands it the table it already holds.
+        assert wait_for(lambda: registry.registry.is_live(9) and len(epochs) > pushed, 3.0)
+        assert wait_for(lambda: registry.registry.room_members() == {5: {9}}, 3.0)
+        assert epochs[pushed] == held == ref.engine.routing.epoch
+        assert not [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    finally:
+        client.close()
+        ref.shutdown()
+
+
 def recv_frames(sock, count, buf, timeout=5.0):
     """Read up to `count` frames, keeping a partial frame in `buf` for the next call.
 
@@ -503,19 +610,19 @@ def recv_frames(sock, count, buf, timeout=5.0):
     sock.settimeout(timeout)
     packets = []
     while len(packets) < count:
-        size = frame_size(buf)
-        if size is not None and len(buf) >= size:
-            packet, consumed = read_media_packet(buf)
-            packets.append(packet)
-            del buf[:consumed]
-            continue
         try:
-            chunk = sock.recv(1 << 16)
-        except socket.timeout:
-            break
-        if not chunk:
-            break
-        buf += chunk
+            packet, consumed = read_media_packet(buf)
+        except Truncated:
+            try:
+                chunk = sock.recv(1 << 16)
+            except socket.timeout:
+                break
+            if not chunk:
+                break
+            buf += chunk
+            continue
+        packets.append(packet)
+        del buf[:consumed]
     return packets
 
 

@@ -1,9 +1,11 @@
 """Registry: leasing, advertisement, link records, snapshots."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vroverlay.config import OverlayConfig
 from vroverlay.errors import DuplicateId, UnknownReflector
-from vroverlay.model import LinkStats
+from vroverlay.model import LinkStats, link_key
 from vroverlay.registry import Registry, RegistryEntry
 
 
@@ -155,7 +157,7 @@ def test_deregister_removes_entry():
         reg.deregister(1)
 
 
-def test_tree_edges_pruned_on_expiry_stay_pruned_until_the_next_install():
+def test_returning_reflector_is_back_in_the_snapshot_tree_before_the_next_install():
     reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
     reg.register(entry(1))
     reg.register(entry(2))
@@ -163,13 +165,80 @@ def test_tree_edges_pruned_on_expiry_stay_pruned_until_the_next_install():
     assert reg.cycle(0.0).epoch == 1
     reg.heartbeat(1, 40.0)
     assert reg.expire(40.0) == [2]
-    # 2 comes back before the next cycle: its lease and link return, the
-    # snapshots' tree does not, while the gate still holds the installed tree.
+    assert reg.build_snapshot().tree_edges == frozenset()
+    # 2 comes back before the next cycle: the snapshots show the installed
+    # tree again, and the gate keeps it.
     reg.register(entry(2, at=40.0))
     reg.observe_link(link_stats(1, 2, at=40.0))
-    assert reg.publish_snapshot(40.0).tree_edges == frozenset()
-    assert reg.tree.edges == {(1, 2)}
+    assert reg.publish_snapshot(40.0).tree_edges == {(1, 2)} == reg.tree.edges
+    assert reg.cycle(40.0) is None
     reg.register(entry(3, at=40.0))
     reg.observe_link(link_stats(2, 3, at=40.0))
     assert reg.cycle(41.0).epoch == 2
     assert reg.publish_snapshot(41.0).tree_edges == {(1, 2), (2, 3)}
+
+
+IDS = st.integers(1, 5)
+OPS = st.one_of(
+    st.tuples(st.sampled_from(["register", "deregister", "heartbeat"]), IDS),
+    st.tuples(st.just("observe_link"), IDS, IDS, st.floats(1.0, 400.0)),
+    st.tuples(st.just("drop_link"), IDS, IDS),
+    st.tuples(st.just("advertise"), IDS, st.frozensets(st.integers(1, 3), max_size=3)),
+    st.tuples(st.sampled_from(["tick", "lapse", "cycle", "publish"])),
+)
+# Reflector 2 drops and registers again before the next cycle: the
+# snapshot shows its installed edge again.
+RETURN_BEFORE_CYCLE = [("register", 1), ("register", 2), ("observe_link", 1, 2, 20.0),
+                       ("cycle",),
+                       ("deregister", 2), ("register", 2), ("observe_link", 1, 2, 20.0),
+                       ("publish",)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(OPS, max_size=40))
+@example(RETURN_BEFORE_CYCLE)
+def test_snapshots_and_installs_follow_the_installed_tree(ops):
+    reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
+    now, snapshot_epoch = 0.0, 0
+    for op, *args in ops:
+        if op in ("register", "deregister", "heartbeat", "advertise"):
+            rid = args[0]
+            call = {
+                "register": lambda: reg.register(entry(rid, at=now)),
+                "deregister": lambda: reg.deregister(rid),
+                "heartbeat": lambda: reg.heartbeat(rid, now),
+                "advertise": lambda: reg.advertise_membership(rid, args[1]),
+            }[op]
+            if reg.is_live(rid) == (op == "register"):
+                with pytest.raises(DuplicateId if op == "register" else UnknownReflector):
+                    call()
+            else:
+                call()
+        elif op in ("observe_link", "drop_link") and args[0] != args[1]:
+            if op == "drop_link":
+                reg.drop_link(*args)
+            else:
+                reg.observe_link(LinkStats(link=link_key(args[0], args[1]), rtt_ms=args[2],
+                                           loss_fraction=0.0, capacity_kbps=1000.0,
+                                           sampled_at=now))
+        elif op in ("tick", "lapse"):
+            now += 5.0 if op == "tick" else reg.liveness_timeout_ms + 1.0
+        elif op == "cycle":
+            before = reg.epoch
+            report = reg.cycle(now)
+            if report is None:
+                assert reg.epoch == before
+            else:
+                assert report.epoch == reg.epoch == before + 1
+                assert set(reg.tables) == reg.tree.covers
+                assert all(t.epoch == reg.epoch for t in reg.tables.values())
+        elif op == "publish":
+            snap = reg.publish_snapshot(now)
+            live = live_ids(snap)
+            installed = reg.tree.edges if reg.tree is not None else frozenset()
+            assert snap.tree_edges == {e for e in installed if set(e) <= live}
+            assert all(reg.is_live(rid) for rid in live)
+            assert all(set(record.stats.link) <= live for record in snap.links)
+            assert all(members <= live for members in snap.room_members.values())
+            assert snap.epoch > snapshot_epoch
+            snapshot_epoch = snap.epoch

@@ -19,7 +19,6 @@ from vroverlay.wire import (
     HEADER_SIZE,
     decode_media_packet,
     encode_media_packet,
-    frame_size,
     read_header,
     read_media_packet,
 )
@@ -158,7 +157,6 @@ def test_read_media_packet_stream_framing():
     offset = 0
     decoded = []
     while offset < len(stream):
-        assert frame_size(stream, offset) is not None
         p, offset = read_media_packet(stream, offset)
         decoded.append(p)
     assert decoded == packets
@@ -186,10 +184,6 @@ def test_read_header_checks_like_the_decoder_and_reads_in_place():
         broken[index] = value
         with pytest.raises(error):
             read_header(broken)
-
-
-def test_frame_size_incomplete_header():
-    assert frame_size(b"\x56\x52\x03") is None
 
 
 def test_encode_rejects_zero_ids():
