@@ -661,7 +661,7 @@ class ReflectorDaemon:
                     self.src_mismatch_drops += 1
                     continue
                 frame = bytes(view[start:end])
-                clients, peers = self.engine.forward(room, src, end - start, from_peer)
+                clients, peers, _ = self.engine.forward(room, src, end - start, from_peer)
                 for client in clients:
                     dest = self.engine.endpoint(client)
                     if dest is not None:

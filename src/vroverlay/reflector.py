@@ -133,9 +133,10 @@ class ReflectorEngine:
 
     def forward(self, room: RoomId, src: ClientId, nbytes: int,
                 from_peer: ReflectorId = NO_ID) -> tuple:
-        """Destinations of one packet: (clients, peers), each an ascending id list.
+        """Destinations of one packet: (clients, peers, sent).
 
-        Clients are the room's local members minus the origin client
+        Clients and peers are ascending id lists, and ``sent`` is their total
+        length. Clients are the room's local members minus the origin client
         ``src``; peers are the room's pruned peer egress minus
         ``from_peer``, the ingress peer (NO_ID for a packet from a local
         client). ``nbytes``, the frame's size on the wire, feeds the byte
@@ -152,7 +153,7 @@ class ReflectorEngine:
                 egress = self._egress[room] = tuple(sorted(peer_egress))
             elif members is None:
                 self.counters.unknown_room_drops += 1
-                return [], []
+                return [], [], 0
             else:
                 egress = ()
         clients = [c for c in members if c != src] if members else []
@@ -160,4 +161,4 @@ class ReflectorEngine:
         sent = len(clients) + len(peers)
         self.counters.packets_out += sent
         self.counters.bytes_out += nbytes * sent
-        return clients, peers
+        return clients, peers, sent

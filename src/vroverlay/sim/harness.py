@@ -23,16 +23,18 @@ at once as its JSON line, `json.dumps(event, sort_keys=True)` byte for
 byte, by a `%r` template declared for its kind in `_TRACE_FIELDS`; the log
 holds lines, not event dicts. `forward` and `deliver` lines fill their
 templates in place, and `_now_text` formats each clock time once for all
-the lines at that time. Every 256 lines feed one running sha256 and are
-kept only as that text. `SimReport.trace` is an iterable over the text
-that decodes each event as it is reached; `trace_hash()` is the running
-digest and `write_trace` (`sim run --trace FILE`) writes the stored text,
-so the file hashes to the printed hash.
+the lines at that time. Every 256 lines feed one running sha256 and go
+to an unlinked temporary file, so the trace costs constant memory.
+`SimReport.trace` is an iterable over that file that decodes each event as
+it is reached; `trace_hash()` is the running digest and `write_trace`
+(`sim run --trace FILE`) copies the file, so it hashes to the printed hash.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -131,20 +133,21 @@ _DELIVER = _TRACE_TEMPLATES["deliver"][0]
 
 
 class _TraceLog:
-    """The run's trace, kept only as the JSON-lines text that `write_trace` writes.
+    """The run's trace, kept only as the JSON-lines text that `write_trace` writes, in a file.
 
     `OverlaySim._trace` hands over each event as its finished line. Lines
     wait in a list until `_CHUNK_EVENTS` have come, then are joined, fed to a
-    running sha256 and stored as one `bytes` chunk, so the hash needs no
-    second pass. Iterating decodes lines with `json.loads`; each line is
-    exactly `json.dumps(event, sort_keys=True)`, so a decoded event equals
-    the traced one.
+    running sha256 (no second pass) and appended to an unlinked temporary
+    file, opened at the first flush and closed when the log is collected;
+    each reader keeps its own offset in it. Iterating decodes lines with
+    `json.loads`; each line is exactly `json.dumps(event, sort_keys=True)`,
+    so a decoded event equals the traced one.
     """
 
     def __init__(self):
         self._pending: list = []    # lines not yet hashed
-        self._chunks: list = []     # bytes, one line per event
-        self._encoded = 0           # events in _chunks
+        self._file = None           # the hashed lines, opened at the first flush
+        self._encoded = 0           # events in _file
         self._digest = hashlib.sha256()
 
     def append(self, line: str) -> None:
@@ -154,11 +157,15 @@ class _TraceLog:
             self.flush()
 
     def flush(self) -> None:
-        """Hash and store the lines still waiting."""
+        """Hash the lines still waiting and append them to the file."""
         if self._pending:
             chunk = ("\n".join(self._pending) + "\n").encode()
             self._digest.update(chunk)
-            self._chunks.append(chunk)
+            if self._file is None:
+                self._file = tempfile.TemporaryFile()
+                weakref.finalize(self, self._file.close)
+            self._file.seek(0, 2)  # a reader may have moved the position
+            self._file.write(chunk)
             self._encoded += len(self._pending)
             self._pending.clear()
 
@@ -166,18 +173,28 @@ class _TraceLog:
         self.flush()
         return self._digest.hexdigest()
 
-    def write(self, fh) -> None:
+    def _blocks(self):
+        """Every line in the file, in lists of whole lines of about 64 KiB."""
         self.flush()
-        for chunk in self._chunks:
-            fh.write(chunk.decode())
+        offset = 0
+        while self._file is not None:
+            self._file.seek(offset)
+            lines = self._file.readlines(1 << 16)
+            if not lines:
+                return
+            offset = self._file.tell()
+            yield lines
+
+    def write(self, fh) -> None:
+        for lines in self._blocks():
+            fh.write(b"".join(lines).decode())
 
     def __len__(self) -> int:
         return self._encoded + len(self._pending)
 
     def __iter__(self):
-        self.flush()
-        for chunk in self._chunks:
-            for line in chunk.splitlines():
+        for lines in self._blocks():
+            for line in lines:
                 yield json.loads(line)
 
 
@@ -261,7 +278,7 @@ class OverlaySim:
         self.room_clients: dict = {}  # room id -> set of client ids
         self.delivered_to: dict = {}  # packet key -> {client: count}
         self.expected_receivers: dict = {}  # packet key -> frozenset of clients
-        self._seq: dict = {}          # (room, src) -> next seq
+        self._streams: dict = {}      # (room, src) -> (last seq, frozenset of its receivers)
 
         for spec in scenario.reflectors:
             self._create_node(spec.id, spec.region, register_at=0.0)
@@ -503,12 +520,14 @@ class OverlaySim:
             self._trace("inject_skipped", home, event.room, event.src)
             return
         stream = (event.room, event.src)
-        seq = self._seq.get(stream, 0) + 1
-        self._seq[stream] = seq
+        seq, receivers = self._streams.get(stream) or (
+            0, frozenset(self.room_clients[event.room] - {event.src}))
+        seq += 1
+        self._streams[stream] = (seq, receivers)
         packet = (event.room, event.src, seq)
         self.media.injected += 1
         self.delivered_to[packet] = {}
-        self.expected_receivers[packet] = frozenset(self.room_clients[event.room] - {event.src})
+        self.expected_receivers[packet] = receivers  # one set per stream; rooms never change
         self._trace("inject", home, event.room, seq, event.src)
         self._forward_at(node, packet, HEADER_SIZE + event.payload_bytes, NO_ID, trail=(home,))
 
@@ -519,9 +538,9 @@ class OverlaySim:
         room, src, seq = packet
         rid = node.id
         epoch = node.engine.routing.epoch
-        clients, peers = node.engine.forward(room, src, nbytes, from_peer)
+        clients, peers, sent = node.engine.forward(room, src, nbytes, from_peer)
         t = self._now_text()
-        self.trace.append(_FORWARD % (epoch, len(clients) + len(peers), rid, room, seq, src, t))
+        self.trace.append(_FORWARD % (epoch, sent, rid, room, seq, src, t))
         for client in clients:
             self._deliver_local(rid, packet, client, t)
         for peer in peers:

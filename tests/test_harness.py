@@ -196,10 +196,14 @@ def load_bench_scenarios():
     return bench_scenarios
 
 
-def test_finished_report_keeps_the_trace_as_text_not_events():
+def smoke_media_scenario(**sizes):
     bench_scenarios = load_bench_scenarios()
-    scenario = load_scenario(
-        bench_scenarios.media_scenario(1900, **bench_scenarios.MEDIA_SIZES["smoke"]))
+    return load_scenario(bench_scenarios.media_scenario(
+        1900, **{**bench_scenarios.MEDIA_SIZES["smoke"], **sizes}))
+
+
+def retained_by_finished_report(scenario):
+    """(bytes the finished report keeps once its simulator is collected, the report)."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -210,10 +214,58 @@ def test_finished_report_keeps_the_trace_as_text_not_events():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return retained, report
+
+
+def test_finished_report_keeps_the_trace_as_text_not_events():
+    retained, report = retained_by_finished_report(smoke_media_scenario())
     # Kept as dicts, this run's 981 events cost about 300 bytes each (the dict,
-    # its float time and the list slot); as JSON lines they cost about 110,
-    # the text plus the rest of the report. 200 lies between the two.
-    assert retained / len(report.trace) < 200
+    # its float time and the list slot); as JSON lines in memory, about 110.
+    # In the trace file they cost nothing in memory: what stays, about 7 per
+    # event here, is the report, the digest and the file object, whatever the
+    # trace's length.
+    assert retained / len(report.trace) < 20
+
+
+def test_finished_report_memory_does_not_grow_with_the_trace():
+    # The smoke scenario's traffic is its bursts, not its duration (12 s and
+    # 48 s trace 981 and 984 events), so a burst four times as long makes the
+    # longer trace.
+    short, short_report = retained_by_finished_report(smoke_media_scenario(burst=3))
+    long, long_report = retained_by_finished_report(smoke_media_scenario(burst=12))
+    more_events = len(long_report.trace) - len(short_report.trace)
+    assert more_events > 2 * len(short_report.trace)
+    # In memory the text cost about 110 bytes per event.
+    assert (long - short) / more_events < 5
+
+
+def test_two_live_reports_each_read_and_write_their_own_trace(tmp_path):
+    reports = {name: OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "%s.json" % name)))
+               .run() for name in ("line3", "eu-us-backup")}
+    for name, report in reports.items():
+        path = tmp_path / ("%s.trace.jsonl" % name)
+        assert write_trace_file(report, path) == BUNDLED_TRACE_HASHES[name]
+        check_trace_view(report.trace, path)
+
+
+def test_trace_outlives_its_collected_simulator(tmp_path):
+    sim = OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "eu-us-backup.json")))
+    report = sim.run()
+    del sim
+    gc.collect()
+    path = tmp_path / "eu-us-backup.trace.jsonl"
+    assert write_trace_file(report, path) == BUNDLED_TRACE_HASHES["eu-us-backup"]
+    assert report.trace_hash() == BUNDLED_TRACE_HASHES["eu-us-backup"]
+    check_trace_view(report.trace, path)
+
+
+def test_trace_iterates_the_same_events_twice_and_interleaved():
+    report = OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "eu-us-backup.json"))).run()
+    first = list(report.trace)
+    assert len(first) > 4 * _CHUNK_EVENTS
+    assert list(report.trace) == first
+    # Each reader keeps its own place in the one file.
+    assert [a for a, b in zip(report.trace, report.trace) if a == b] == first
 
 
 # --- trace line encoding ---
@@ -327,9 +379,9 @@ def test_hop_trace_lines_equal_json_dumps_with_the_clock_and_forward_results():
     for node in sim.nodes.values():
         def forward(room, src, nbytes, from_peer, node=node, real=node.engine.forward):
             epoch = node.engine.routing.epoch
-            clients, peers = real(room, src, nbytes, from_peer)
+            clients, peers, sent = real(room, src, nbytes, from_peer)
             forwards.append((node.id, epoch, room, src, list(clients), len(peers)))
-            return clients, peers
+            return clients, peers, sent
         node.engine.forward = forward
     report = sim.run()
     text = io.StringIO()

@@ -94,7 +94,7 @@ def test_star_fanout_minus_sender():
     for c in (1, 2, 3):
         eng.join_room(c, ROOM)
     actions = eng.forward(ROOM, 1, NBYTES)
-    assert actions == ([2, 3], [])
+    assert actions == ([2, 3], [], 2)
 
 
 def test_forward_includes_pruned_peers_and_excludes_ingress_peer():
@@ -103,7 +103,7 @@ def test_forward_includes_pruned_peers_and_excludes_ingress_peer():
     eng.swap_routing_table(routed(1, {10, 30}, {ROOM: {10, 30}}))
     # Packet arrives from peer 10: local delivery plus peer 30 only.
     actions = eng.forward(ROOM, 1, NBYTES, 10)
-    assert actions == ([2], [30])
+    assert actions == ([2], [30], 2)
 
 
 def test_forward_origin_client_never_receives_own_packet():
@@ -113,13 +113,13 @@ def test_forward_origin_client_never_receives_own_packet():
     eng.swap_routing_table(routed(1, {10}, {ROOM: {10}}))
     actions = eng.forward(ROOM, 1, NBYTES)
     assert 1 not in actions[0]
-    assert actions == ([2], [10])
+    assert actions == ([2], [10], 2)
 
 
 def test_forward_unknown_room_counted_not_raised():
     eng = engine_with_clients(1)
     actions = eng.forward(99, 1, NBYTES)
-    assert actions == ([], [])
+    assert actions == ([], [], 0)
     assert eng.counters.unknown_room_drops == 1
 
 
@@ -127,7 +127,7 @@ def test_forward_transit_without_local_members():
     eng = ReflectorEngine(R)
     eng.swap_routing_table(routed(1, {10, 30}, {ROOM: {10, 30}}))
     actions = eng.forward(ROOM, 5, NBYTES, 10)
-    assert actions == ([], [30])
+    assert actions == ([], [30], 1)
 
 
 def test_line_overlay_path_enumeration():
@@ -144,9 +144,9 @@ def test_line_overlay_path_enumeration():
         eng.join_room(client, ROOM)
         eng.swap_routing_table(routed(1, neighbors, {ROOM: egress}))
         engines[rid] = eng
-    assert engines[1].forward(ROOM, 1, NBYTES) == ([], [2])
-    assert engines[2].forward(ROOM, 1, NBYTES, 1) == ([2], [3])
-    assert engines[3].forward(ROOM, 1, NBYTES, 2) == ([3], [])
+    assert engines[1].forward(ROOM, 1, NBYTES) == ([], [2], 1)
+    assert engines[2].forward(ROOM, 1, NBYTES, 1) == ([2], [3], 2)
+    assert engines[3].forward(ROOM, 1, NBYTES, 2) == ([3], [], 1)
 
 
 # --- routing swaps ---
@@ -186,7 +186,7 @@ def test_egress_actions_distinct_across_types():
     eng.join_room(1, ROOM)
     eng.join_room(5, ROOM)
     eng.swap_routing_table(routed(1, {5}, {ROOM: {5}}))
-    assert eng.forward(ROOM, 1, NBYTES) == ([5], [5])
+    assert eng.forward(ROOM, 1, NBYTES) == ([5], [5], 2)
     assert eng.counters.packets_out == 2
 
 
@@ -202,7 +202,8 @@ def test_ingress_peer_never_in_egress_property():
         ingress_peer = rng.choice(sorted(neighbors))
         actions = eng.forward(ROOM, 99, NBYTES, ingress_peer)
         assert ingress_peer not in actions[1]
-        assert actions == ([], sorted(p for p in egress if p != ingress_peer))
+        peers = sorted(p for p in egress if p != ingress_peer)
+        assert actions == ([], peers, len(peers))
 
 
 def test_forward_matches_a_from_scratch_reference_after_every_change():
@@ -243,9 +244,9 @@ def test_forward_matches_a_from_scratch_reference_after_every_change():
                 members = joined.get(room, set())
                 egress = table.room_egress.get(room)
                 drops = eng.counters.unknown_room_drops
+                want_clients = sorted(c for c in members if c != src)
+                want_peers = sorted(r for r in egress or () if r != from_peer)
                 assert eng.forward(room, src, NBYTES, from_peer) == (
-                    sorted(c for c in members if c != src),
-                    sorted(r for r in egress or () if r != from_peer),
-                )
+                    want_clients, want_peers, len(want_clients) + len(want_peers))
                 unknown = not members and egress is None
                 assert eng.counters.unknown_room_drops == drops + unknown
