@@ -21,10 +21,14 @@ collection interval. Nacked as an unknown reflector, it registers again.
 
 Each daemon runs its sockets and timers on one selectors loop thread, so
 the registry and the reflector engine see one caller at a time
-and need no lock. No socket blocks the loop: a full destination queue drops
-its oldest chunk not yet started and counts it, so a stalled receiver loses
-only its own frames. Every connection sets TCP_NODELAY, or small frames wait
-on Nagle's algorithm and delayed ACKs.
+and need no lock. No socket blocks the loop. A media pass queues each
+relayed frame on its destinations, then flushes each destination once, with
+one sendmsg of everything it queued. A frame is dropped only when its
+destination's queue is full and the socket still cannot take more: then the
+oldest frame not yet started goes, and is counted, so a stalled receiver
+loses only its own frames. Every connection sets TCP_NODELAY, or small
+frames wait on Nagle's algorithm and delayed ACKs. A line longer than
+MAX_LINE closes its connection.
 
 Daemon mode reuses the exact module code the simulator drives, but runs on
 wall clock and real sockets, so it sits outside the determinism guarantees.
@@ -80,6 +84,8 @@ from .wire import HEADER_SIZE, read_header
 log = logging.getLogger("vroverlay.daemon")
 
 MEDIA_QUEUE = 256          # frames a media connection holds before dropping
+IOV_MAX = 1024             # buffers one sendmsg may take (Linux)
+MAX_LINE = 8 << 20         # bytes a control line may take, newline included (protocol.md)
 
 
 def parse_hostport(text: str) -> tuple:
@@ -94,16 +100,6 @@ def parse_hostport(text: str) -> tuple:
 
 def now_ms() -> float:
     return time.time() * 1000.0
-
-
-def _pop_line(buf: bytearray) -> Optional[str]:
-    """Remove and return the first complete line of ``buf``, if there is one."""
-    end = buf.find(b"\n")
-    if end < 0:
-        return None
-    line = buf[:end + 1].decode("utf-8", "replace")
-    del buf[:end + 1]
-    return line
 
 
 class _Loop:
@@ -195,9 +191,11 @@ class _Loop:
 class _Conn:
     """A non-blocking socket on the loop: inbound bytes, bounded outbound chunks.
 
-    ``on_data(conn)`` consumes what it can of ``conn.inbuf``. When ``limit``
-    chunks already wait to go out, ``send`` drops the oldest and counts it in
-    ``dropped``; the chunk going out is always finished, so no frame is split.
+    ``on_data(conn)`` consumes what it can of ``conn.inbuf``. ``put`` queues a
+    chunk and ``_flush`` sends the queue, many chunks to one sendmsg; ``send``
+    does both. When ``limit`` chunks already wait, ``put`` flushes first, and
+    only if they still wait drops the oldest and counts it in ``dropped``.
+    The chunk going out (``head``) is always finished, so no frame is split.
     Errors close the connection, which calls ``on_close(conn)``.
     """
 
@@ -210,6 +208,7 @@ class _Conn:
         self.on_data = on_data
         self.on_close = on_close
         self.inbuf = bytearray()
+        self._scanned = 0                         # inbuf bytes known to hold no newline
         self.head: Optional[memoryview] = None   # the chunk going out
         self.queue: deque = deque(maxlen=limit)
         self.dropped = 0
@@ -218,16 +217,39 @@ class _Conn:
         loop.sel.register(sock, self._mask, self._ready)
         loop.conns.add(self)
 
-    def send(self, data: bytes) -> None:
+    def put(self, data: bytes) -> None:
         if self.closed:
             return
         if len(self.queue) == self.queue.maxlen:
-            self.dropped += 1
+            self._flush()
+            if len(self.queue) == self.queue.maxlen:
+                self.dropped += 1  # appending pushes out the oldest
         self.queue.append(data)
+
+    def send(self, data: bytes) -> None:
+        self.put(data)
         self._flush()
 
     def send_msg(self, msg: dict) -> None:
         self.send(encode_message(msg).encode("utf-8"))
+
+    def pop_line(self) -> Optional[str]:
+        """Remove and return the first complete line of ``inbuf``, if there is one.
+
+        The newline search resumes where the last one stopped. A line longer
+        than MAX_LINE raises SchemaError, which closes the connection.
+        """
+        buf = self.inbuf
+        end = buf.find(b"\n", self._scanned, MAX_LINE)
+        if end < 0:
+            if len(buf) >= MAX_LINE:
+                raise SchemaError("line longer than %d bytes" % MAX_LINE)
+            self._scanned = len(buf)
+            return None
+        self._scanned = 0
+        line = buf[:end + 1].decode("utf-8", "replace")
+        del buf[:end + 1]
+        return line
 
     def close(self) -> None:
         if self.closed:
@@ -240,12 +262,23 @@ class _Conn:
             self.on_close(self)
 
     def _flush(self) -> None:
+        """Send ``head`` and the queue, up to IOV_MAX chunks per sendmsg."""
+        queue = self.queue
         try:
-            while self.head is not None or self.queue:
+            while self.head is not None or queue:
                 if self.head is None:
-                    self.head = memoryview(self.queue.popleft())
-                sent = self.sock.send(self.head)
-                self.head = self.head[sent:] if sent < len(self.head) else None
+                    self.head = memoryview(queue.popleft())
+                sent = self.sock.sendmsg([self.head, *itertools.islice(queue, IOV_MAX - 1)])
+                if sent < len(self.head):
+                    self.head = self.head[sent:]
+                    continue
+                sent -= len(self.head)
+                self.head = None
+                while sent:  # whole chunks went out; a partial one becomes head
+                    if sent < len(queue[0]):
+                        self.head = memoryview(queue.popleft())[sent:]
+                        break
+                    sent -= len(queue.popleft())
         except BlockingIOError:
             pass
         except OSError as exc:
@@ -315,7 +348,7 @@ class RegistryDaemon:
         self._by_reflector = {r: c for r, c in self._by_reflector.items() if c is not conn}
 
     def _on_lines(self, conn: _Conn) -> None:
-        while (line := _pop_line(conn.inbuf)) is not None:
+        while (line := conn.pop_line()) is not None:
             if not line.strip():
                 continue
             try:
@@ -511,7 +544,7 @@ class ReflectorDaemon:
                                          limit=self.config.subscriber_queue)
             sock.settimeout(5.0)
             conn.send_msg(self._registration)
-            while (line := _pop_line(conn.inbuf)) is None:
+            while (line := conn.pop_line()) is None:
                 data = sock.recv(4096)
                 if not data:
                     raise RegistryUnreachable("registry closed the connection")
@@ -531,7 +564,7 @@ class ReflectorDaemon:
             self._control.send_msg(make_deregister(self.config.reflector_id))
 
     def _on_control(self, conn: _Conn) -> None:
-        while (line := _pop_line(conn.inbuf)) is not None:
+        while (line := conn.pop_line()) is not None:
             try:
                 msg = decode_message(line)
             except SchemaError:
@@ -580,7 +613,7 @@ class ReflectorDaemon:
                               lambda: [conn.close() for conn in probes])
 
     def _probe_reply(self, peer_id: int, started: float, conn: _Conn) -> None:
-        line = _pop_line(conn.inbuf)
+        line = conn.pop_line()
         if line is None:
             return
         rtt_ms = (time.monotonic() - started) * 1000.0
@@ -611,7 +644,7 @@ class ReflectorDaemon:
 
     def _on_hello(self, conn: _Conn) -> None:
         """Hello line decides the role; then the socket carries media frames."""
-        line = _pop_line(conn.inbuf)
+        line = conn.pop_line()
         if line is None:
             return
         hello = decode_message(line)
@@ -643,33 +676,42 @@ class ReflectorDaemon:
 
         The header is read in place (wire.read_header): no packet is built,
         and each relayed frame is copied once, into the bytes every
-        destination shares. A client connection may send only under the id
+        destination shares. Frames are queued on their destinations, and
+        each destination is flushed once when the pass ends, many frames to
+        a sendmsg. A client connection may send only under the id
         it said hello with; a frame with another `src` is dropped and
         counted in `src_mismatch_drops`, and the connection stays open.
         Peer connections (`sender` None) relay any `src`.
         """
         buf = conn.inbuf
         offset = 0
-        with memoryview(buf) as view:  # released before the consumed bytes are cut
-            while len(buf) - offset >= HEADER_SIZE:
-                try:
-                    room, src, _, _, _, _, end = read_header(buf, offset)
-                except Truncated:
-                    break
-                start, offset = offset, end
-                if sender is not None and src != sender:
-                    self.src_mismatch_drops += 1
-                    continue
-                frame = bytes(view[start:end])
-                clients, peers, _ = self.engine.forward(room, src, end - start, from_peer)
-                for client in clients:
-                    dest = self.engine.endpoint(client)
-                    if dest is not None:
-                        dest.send(frame)
-                for peer in peers:
-                    dest = self._peer_conn(peer)
-                    if dest is not None:
-                        dest.send(frame)
+        dests: dict = {}  # the destinations this pass queued for, in first-use order
+        try:
+            with memoryview(buf) as view:  # released before the consumed bytes are cut
+                while len(buf) - offset >= HEADER_SIZE:
+                    try:
+                        room, src, _, _, _, _, end = read_header(buf, offset)
+                    except Truncated:
+                        break
+                    start, offset = offset, end
+                    if sender is not None and src != sender:
+                        self.src_mismatch_drops += 1
+                        continue
+                    frame = bytes(view[start:end])
+                    clients, peers, _ = self.engine.forward(room, src, end - start, from_peer)
+                    for client in clients:
+                        dest = self.engine.endpoint(client)
+                        if dest is not None:
+                            dest.put(frame)
+                            dests[dest] = None
+                    for peer in peers:
+                        dest = self._peer_conn(peer)
+                        if dest is not None:
+                            dest.put(frame)
+                            dests[dest] = None
+        finally:  # a malformed frame still lets the good ones before it go out
+            for dest in dests:
+                dest._flush()
         del buf[:offset]
 
     def _peer_conn(self, peer: int) -> Optional[_Conn]:

@@ -8,11 +8,12 @@ overlay comes from the tree discipline of the installed routes.
 
 forward() takes a packet's room, origin client and size on the wire, plus
 the id of the peer it came from (NO_ID for a packet from a local client),
-and returns two ascending id lists: the local clients to deliver to and the
-peers to send to. It reads the routing table through a single reference,
-so each hop uses one whole table. That holds per hop only: an epoch swap
-between two hops can route one packet under the old table at one reflector
-and the new table at the next.
+and returns (clients, peers, sent): the ascending ids of the local clients
+to deliver to and of the peers to send to, and how many that is. It reads
+the routing table through a single reference, so each hop uses one whole
+table. That holds per hop only: an epoch swap between two hops can route
+one packet under the old table at one reflector and the new table at the
+next.
 
 Destinations are kept sorted so that forward only filters: each room's
 members are an ascending list, kept in order as clients join and leave,

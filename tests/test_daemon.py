@@ -1,10 +1,12 @@
 """Daemon integration over real sockets: registration, media, routing, metrics."""
 import json
 import logging
+import selectors
 import socket
 import struct
 import threading
 import time
+import types
 
 import pytest
 
@@ -818,3 +820,156 @@ def test_hello_without_its_role_field_closes_quietly(registry, caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR], messages
     assert any("required for role 'client'" in m for m in messages), messages
     assert any("required for role 'peer'" in m for m in messages), messages
+
+
+def test_a_burst_beyond_the_media_queue_reaches_a_reader_that_keeps_up(registry):
+    ref = reflector(registry, 10)
+    try:
+        receiver = client_socket(ref.port, 2, [5])
+        sender = client_socket(ref.port, 1, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 2)
+        count = daemon_module.MEDIA_QUEUE + 44
+        packets = [MediaPacket(room=5, src=1, seq=i, timestamp_ms=i,
+                               payload_type=PayloadType.AUDIO_G711U,
+                               payload=bytes([i % 256]) * 160) for i in range(count)]
+        # One write of 300 frames of 184 bytes: a pass can queue more frames
+        # for the receiver than its queue holds, and the socket takes them all.
+        sender.sendall(b"".join(map(encode_media_packet, packets)))
+        assert recv_frames(receiver, count, bytearray()) == packets
+        assert ref.engine.endpoint(2).dropped == 0
+        receiver.close()
+        sender.close()
+    finally:
+        ref.shutdown()
+
+
+def test_frames_before_a_malformed_one_still_go_out(registry):
+    ref = reflector(registry, 11)
+    try:
+        receiver = client_socket(ref.port, 2, [5])
+        sender = client_socket(ref.port, 1, [5])
+        assert wait_for(lambda: ref.engine.client_count() == 2)
+        packets = [MediaPacket(room=5, src=1, seq=i, timestamp_ms=i,
+                               payload_type=PayloadType.AUDIO_G711U, payload=b"ok")
+                   for i in range(3)]
+        frames = [encode_media_packet(p) for p in packets]
+        sender.sendall(b"".join(frames) + b"X" + frames[0][1:])  # bad magic last
+        assert recv_frames(receiver, 4, bytearray(), timeout=1.0) == packets
+        assert wait_for(lambda: ref.engine.client_count() == 1)
+        receiver.close()
+        sender.close()
+    finally:
+        ref.shutdown()
+
+
+def test_over_long_control_line_closes_its_connection(idle_registry):
+    registry = idle_registry
+    # A line of MAX_LINE bytes, newline included, is still read and answered.
+    pad = daemon_module.MAX_LINE - len(encode_message({**make_probe(), "pad": ""}))
+    with socket.create_connection(("127.0.0.1", registry.port), timeout=5) as sock:
+        sock.sendall(encode_message({**make_probe(), "pad": "x" * pad}).encode())
+        with sock.makefile("r") as reader:
+            assert decode_message(reader.readline())["kind"] == "probe_reply"
+    hostile = socket.create_connection(("127.0.0.1", registry.port), timeout=5)
+    try:
+        try:
+            hostile.sendall(b"x" * daemon_module.MAX_LINE)  # one byte more, no newline
+        except OSError:
+            pass  # closed while the line was still arriving
+        assert wait_for(lambda: not registry._loop.conns)
+        try:
+            assert hostile.recv(1) == b""
+        except ConnectionResetError:
+            pass
+    finally:
+        hostile.close()
+
+
+class FakeSocket:
+    """Takes the chosen byte counts from successive sendmsg calls, then blocks."""
+
+    def __init__(self, takes=()):
+        self.takes = list(takes)
+        self.sent = bytearray()
+        self.calls = []             # buffers per sendmsg call
+
+    def setsockopt(self, *args):
+        pass
+
+    def setblocking(self, flag):
+        pass
+
+    def sendmsg(self, buffers):
+        self.calls.append(len(buffers))
+        if not self.takes:
+            raise BlockingIOError
+        data = b"".join(buffers)
+        taken = min(self.takes.pop(0), len(data))
+        self.sent += data[:taken]
+        return taken
+
+
+class FakeSelector:
+    def __init__(self):
+        self.mask = None
+
+    def register(self, sock, mask, data):
+        self.mask = mask
+
+    modify = register
+
+
+def fake_conn(takes=(), limit=daemon_module.MEDIA_QUEUE):
+    loop = types.SimpleNamespace(sel=FakeSelector(), conns=set())
+    return daemon_module._Conn(loop, FakeSocket(takes), on_data=None, limit=limit)
+
+
+def writing(conn):
+    return bool(conn.loop.sel.mask & selectors.EVENT_WRITE)
+
+
+@pytest.mark.parametrize("first", [4, 10, 25], ids=["inside-head", "frame-boundary",
+                                                    "inside-a-later-frame"])
+def test_flush_stops_anywhere_and_resumes_with_the_rest(first):
+    frames = [bytes([i]) * 10 for i in range(1, 5)]
+    conn = fake_conn([first])
+    for frame in frames:
+        conn.put(frame)
+    conn._flush()
+    assert bytes(conn.sock.sent) == b"".join(frames)[:first]
+    assert conn.head is not None and writing(conn)
+    assert len(conn.head) == 10 - first % 10  # the whole next frame, or what is left of it
+    assert len(conn.queue) == 3 - first // 10
+    conn.sock.takes = [3]  # stops inside the head again
+    conn._flush()
+    assert conn.head is not None and writing(conn)
+    conn.sock.takes = [1000]
+    conn._flush()
+    assert bytes(conn.sock.sent) == b"".join(frames)
+    assert conn.head is None and not conn.queue and not writing(conn)
+
+
+def test_flush_sends_at_most_iov_max_buffers_per_call():
+    frames = [b"%05d" % i for i in range(2500)]
+    conn = fake_conn([10, 1 << 20, 1 << 20, 1 << 20], limit=len(frames))
+    for frame in frames:
+        conn.put(frame)
+    conn._flush()
+    assert bytes(conn.sock.sent) == b"".join(frames)
+    assert max(conn.sock.calls) == daemon_module.IOV_MAX
+    assert conn.head is None and not conn.queue and not writing(conn)
+    assert conn.dropped == 0
+
+
+def test_full_queue_drops_only_what_the_socket_cannot_take():
+    conn = fake_conn([1000], limit=2)
+    for frame in (b"a", b"b", b"c"):  # the third put flushes the first two
+        conn.put(frame)
+    assert conn.dropped == 0 and bytes(conn.sock.sent) == b"ab"
+    for frame in (b"d", b"e"):  # the socket takes no more; "c" goes out as head
+        conn.put(frame)
+    conn.put(b"f")  # "c" is started and kept; "d" is dropped
+    assert conn.dropped == 1 and bytes(conn.head) == b"c" and list(conn.queue) == [b"e", b"f"]
+    conn.sock.takes = [1000]
+    conn._flush()
+    assert bytes(conn.sock.sent) == b"abcef"
