@@ -9,15 +9,21 @@ JSON line. A request that fails is answered with one negative ack whose
 error reads "<error type>: <message>". Link quality, the optimizer cycle,
 routing install and gateway flow run in its one Registry (registry.py), the
 same class the simulator drives, over links derived from uplinked peer
-metrics. Leases run on the registry's clock. A reflector that registers
-gets its table from the last install, if it has one, right after the ack.
+metrics. Route installs are event-driven: when a pass of control lines
+changes the routing inputs (a registration, a changed room set, a link's
+first sample), one optimizer cycle runs at the next loop pass, and never
+sooner after the last cycle than that cycle took, so a storm of changes
+costs at most about half the loop. The optimizer period is only a refresh
+bound. Leases run on the registry's clock. A reflector that registers gets
+its table from the last install, if it has one, right after the ack.
 
 A reflector daemon keeps one control connection to the registry, serves a
 media port where clients and peer reflectors connect (one JSON hello line,
 then framed media packets, relayed as they arrived after one header check),
 applies pushed routing tables, advertises its rooms once per client hello
-and once per client disconnect, and uplinks its monitoring samples every
-collection interval. Nacked as an unknown reflector, it registers again.
+and once per client disconnect, and probes its peers and uplinks its
+monitoring samples as its loop starts and then every collection interval.
+Nacked as an unknown reflector, it registers again.
 
 Each daemon runs its sockets and timers on one selectors loop thread, so
 the registry and the reflector engine see one caller at a time
@@ -323,6 +329,8 @@ class RegistryDaemon:
         self.supervisor = self.registry.supervisor
         self._by_reflector: dict = {}     # reflector id -> control _Conn
         self._subscribers: dict = {}      # _Conn -> Subscription
+        self._cycle_pending = False       # a prompt cycle is on the loop's timers
+        self._next_cycle_at = 0.0         # monotonic time a prompt cycle may start
         self._loop = _Loop()
 
     def start(self) -> None:
@@ -355,6 +363,10 @@ class RegistryDaemon:
                 self._dispatch(conn, decode_message(line))
             except OverlayError as exc:
                 conn.send_msg(make_ack(False, error="%s: %s" % (type(exc).__name__, exc)))
+        if self.registry.inputs_changed and not self._cycle_pending:
+            self._cycle_pending = True
+            self._loop.call_later(max(0.0, self._next_cycle_at - time.monotonic()),
+                                  self._prompt_cycle)
 
     def _dispatch(self, conn: _Conn, msg: dict) -> None:
         kind = msg["kind"]
@@ -451,8 +463,16 @@ class RegistryDaemon:
         for conn in list(self._subscribers):
             conn.send_msg(make_snapshot(snap))
 
+    def _prompt_cycle(self) -> None:
+        self._cycle_pending = False
+        if self.registry.inputs_changed:  # else a periodic cycle took them
+            self._optimize()
+
     def _optimize(self) -> None:
+        started = time.monotonic()
         report = self.registry.cycle(now_ms())
+        ended = time.monotonic()
+        self._next_cycle_at = ended + (ended - started)
         if report is not None:
             log.info("routing epoch %d installed (%d acks, %d failures)",
                      report.epoch, len(report.acks), len(report.failures))
@@ -523,6 +543,7 @@ class ReflectorDaemon:
             raise
         self._loop.every(self.config.heartbeat_interval_ms / 1000.0, self._heartbeat)
         self._loop.every(self.config.monitor_interval_ms / 1000.0, self._probe_round)
+        self._loop.call_later(0.0, self._probe_round)
         self._loop.start("reflector-%d" % self.config.reflector_id)
         log.info("reflector %d listening on %s:%d", self.config.reflector_id, host, self.port)
 

@@ -13,6 +13,9 @@ routing tables. Callers feed it link measurements through ``observe_link``
 and call ``cycle`` on the optimizer period, which builds its graph from the
 registry alone: the live reflectors that are not Failed, and the link
 records, whose quality is the filter value ``observe_link`` stored.
+``inputs_changed`` says the routing inputs changed since the last cycle (a
+registration, a changed room set, a link's first sample), so a driver may
+run a cycle at once rather than wait for the period.
 ``tree`` and ``tables`` are the only record of the installed routing: the
 hysteresis gate, the snapshots and a returning reflector's resync read them.
 One pair of state stays apart: ``filters`` outlive dropped links; link
@@ -118,6 +121,8 @@ class Registry:
         self.tree: Optional[TreeResult] = None  # the last install's tree
         self.tables: dict = {}   # reflector id -> last published RoutingTable
         self.epoch = 0           # epoch of the last install; 0 before the first
+        self.inputs_changed = False  # routing inputs changed since the last cycle
+        self._rooms_changed = False  # room membership changed since the last install
         self._entries: dict = {}             # ReflectorId -> RegistryEntry
         self._rooms_by_reflector: dict = {}  # ReflectorId -> set of RoomId
         self._links: dict = {}               # LinkKey -> LinkRecord
@@ -138,6 +143,7 @@ class Registry:
         if entry.last_heartbeat < entry.registered_at:
             entry = replace(entry, last_heartbeat=entry.registered_at)
         self._entries[entry.reflector] = entry
+        self.inputs_changed = True
         if self.supervisor.watch(entry.reflector).state is HealthState.FAILED:
             self.supervisor.clear_failed(entry.reflector)
         return self._snapshot_epoch
@@ -188,7 +194,10 @@ class Registry:
     def advertise_membership(self, reflector: ReflectorId, rooms: Iterable[RoomId]) -> None:
         if reflector not in self._entries:
             raise UnknownReflector("advertisement from unregistered reflector %d" % reflector)
-        self._rooms_by_reflector[reflector] = set(rooms)
+        rooms = set(rooms)
+        if rooms != self._rooms_by_reflector.get(reflector, frozenset()):
+            self._rooms_changed = self.inputs_changed = True
+        self._rooms_by_reflector[reflector] = rooms
 
     def room_members(self) -> dict:
         """Room -> set of live reflectors hosting at least one member."""
@@ -201,9 +210,17 @@ class Registry:
     # --- link table ---
 
     def observe_link(self, stats: LinkStats) -> QualityFactor:
-        """Fold one link measurement into its filter and record it."""
+        """Fold one link measurement into its filter and record it.
+
+        A link's first sample since it entered the link table changes the
+        routing inputs.
+        """
         key = stats.link
-        prev = self.filters.get(key, QualityFactor(link=key, alpha=self.config.alpha))
+        prev = self.filters.get(key)
+        if prev is None:
+            prev = QualityFactor(link=key, alpha=self.config.alpha)
+        if key not in self._links:
+            self.inputs_changed = True
         sample = raw_quality(stats.loss_fraction, stats.rtt_ms, self.config.rtt_ref_ms)
         current = update_ewma(prev, sample, stats.sampled_at)
         self.filters[key] = current
@@ -224,10 +241,17 @@ class Registry:
     # --- optimizer cycle and routing install ---
 
     def cycle(self, now: float) -> Optional[DeliveryReport]:
-        """One optimizer period; reports the install it made, if any.
+        """One optimizer cycle; reports the install it made, if any.
 
+        It installs the candidate tree when the tree's shape changed or the
+        anti-flap gate says INSTALL. When the gate says KEEP but room
+        membership changed since the last install, it installs the current
+        tree again, under a new epoch, so the new rooms get routes and
+        the hysteresis still holds. Drivers run it on the optimizer period,
+        and the registry daemon also soon after ``inputs_changed`` is set.
         After an install, ``tree`` and ``tables`` hold what was installed.
         """
+        self.inputs_changed = False
         self.expire(now)
         live = frozenset(self._entries)
         graph = build_graph(live - self.supervisor.failed(), self.links(), self.config.q_min)
@@ -239,13 +263,14 @@ class Registry:
         ):
             # Topology membership changed (registration, expiry, or a split
             # component rejoining): the gate only arbitrates same-shape trees.
-            install = True
+            install = candidate
         else:
             current, dead = reweigh_tree(self.tree, graph)
-            install = should_reroute(
-                current, candidate, self.config.delta, dead
-            ) is Reroute.INSTALL
-        done = self._install(candidate) if install and candidate.covers else None
+            if should_reroute(current, candidate, self.config.delta, dead) is Reroute.INSTALL:
+                install = candidate
+            else:
+                install = current if self._rooms_changed else None
+        done = self._install(install) if install is not None and install.covers else None
 
         if self.config.gateway_pair is not None:
             src, dst = self.config.gateway_pair
@@ -263,6 +288,7 @@ class Registry:
 
     def _install(self, tree: TreeResult) -> DeliveryReport:
         self.epoch += 1
+        self._rooms_changed = False
         members_by_room = {}
         for room, hosts in self.room_members().items():
             on_tree = hosts & tree.covers

@@ -104,3 +104,56 @@ def test_daemon_snapshot_carries_gateway_flow():
         ref1.shutdown()
         ref2.shutdown()
         daemon.stop()
+
+
+def test_changed_room_set_under_a_keep_gate_reinstalls_the_current_tree():
+    pushed = []
+    registry = triangle(lambda rid, table: pushed.append(table))
+    registry.advertise_membership(1, {5})
+    registry.advertise_membership(3, {5})
+    first = registry.cycle(0.0)
+    edges = registry.tree.edges
+    assert edges == {(1, 2), (2, 3)}
+    # (1, 3) gets cheaper than (2, 3), but by less than delta: the gate keeps the tree.
+    for at, rtt in ((1.0, 1.0), (2.0, 10.0)):
+        registry.observe_link(LinkStats(link=link_key(1, 3), rtt_ms=rtt, loss_fraction=0.0,
+                                        capacity_kbps=1000.0, sampled_at=at))
+    assert registry.cycle(2.0) is None
+    registry.advertise_membership(2, {7})
+    registry.advertise_membership(3, {5, 7})
+    report = registry.cycle(3.0)
+    assert report.epoch == first.epoch + 1 == registry.epoch
+    assert registry.tree.edges == edges  # the candidate's (1, 3) stays out
+    egress = {rid: table.room_egress.get(7) for rid, table in registry.tables.items()}
+    assert egress == {1: None, 2: {3}, 3: {2}}
+    assert [table.epoch for table in pushed[-3:]] == [report.epoch] * 3
+    assert registry.cycle(4.0) is None  # installed once per change
+
+
+def test_registration_room_change_and_first_link_sample_mark_inputs_changed():
+    registry = Registry(OverlayConfig(), lambda rid, table: None)
+    assert not registry.inputs_changed
+    registry.register(RegistryEntry(reflector=1, control_address="fake://1"))
+    assert registry.inputs_changed
+    registry.register(RegistryEntry(reflector=2, control_address="fake://2"))
+    registry.cycle(0.0)
+    assert not registry.inputs_changed
+    registry.advertise_membership(1, {5})
+    assert registry.inputs_changed
+    registry.cycle(1.0)
+    registry.observe_link(LinkStats(link=link_key(1, 2), rtt_ms=10.0, loss_fraction=0.0,
+                                    capacity_kbps=1000.0, sampled_at=1.0))
+    assert registry.inputs_changed
+
+
+def test_identical_advertise_and_repeat_link_sample_leave_inputs_unchanged():
+    registry = triangle(lambda rid, table: None)
+    registry.advertise_membership(1, {5})
+    registry.advertise_membership(2, set())  # no rooms held before, none now
+    registry.cycle(0.0)
+    registry.advertise_membership(1, [5])
+    registry.advertise_membership(2, ())
+    registry.observe_link(LinkStats(link=link_key(1, 2), rtt_ms=12.0, loss_fraction=0.0,
+                                    capacity_kbps=1000.0, sampled_at=1.0))
+    assert not registry.inputs_changed
+    assert registry.cycle(1.0) is None
