@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from .config import load_config
-from .daemon import ReflectorDaemon, RegistryDaemon, parse_hostport
+from .daemon import MAX_LINE, ReflectorDaemon, RegistryDaemon, parse_hostport
 from .errors import BadPattern, ConfigError, RegistryUnreachable, SchemaError
 from .export import load_snapshot, snapshot_to_dot, snapshot_to_json
 from .monitor import compile_pattern
@@ -191,18 +191,23 @@ def _sim_run(args) -> int:
     return EXIT_OK if report.ok() else EXIT_INVARIANT
 
 
+def _messages(sock: socket.socket):
+    """The registry's protocol lines, decoded; a line past MAX_LINE raises SchemaError."""
+    with sock.makefile("rb") as reader:
+        while line := reader.readline(MAX_LINE):
+            if len(line) == MAX_LINE and not line.endswith(b"\n"):
+                raise SchemaError("registry sent a line longer than %d bytes" % MAX_LINE)
+            yield decode_message(line.decode("utf-8", "replace"))
+
+
 def _fetch_snapshot(address: str) -> TopologySnapshot:
     try:
         with socket.create_connection(parse_hostport(address), timeout=5.0) as sock:
             sock.sendall(encode_message(make_snapshot_request()).encode("utf-8"))
-            reader = sock.makefile("r", encoding="utf-8")
-            while True:
-                line = reader.readline()
-                if not line:
-                    raise RegistryUnreachable("registry closed the connection")
-                msg = decode_message(line)
+            for msg in _messages(sock):
                 if msg["kind"] == "snapshot":
                     return snapshot_from_dict(msg.get("snapshot"))
+            raise RegistryUnreachable("registry closed the connection")
     except OSError as exc:
         raise RegistryUnreachable("cannot reach registry at %s: %s" % (address, exc)) from exc
 
@@ -234,7 +239,7 @@ def _metrics_tail(args) -> int:
     sock.settimeout(None)  # the timeout was for connecting; a quiet stream is not an error
     stop = {"flag": False}
 
-    def on_stop():  # unlike close, shutdown wakes a readline blocked on a quiet stream
+    def on_stop():  # unlike close, shutdown wakes a read blocked on a quiet stream
         stop["flag"] = True
         with contextlib.suppress(OSError):
             sock.shutdown(socket.SHUT_RDWR)
@@ -247,15 +252,14 @@ def _metrics_tail(args) -> int:
                 make_subscribe(args.filter, reflectors=args.reflector)
             ).encode("utf-8")
         )
-        reader = sock.makefile("r", encoding="utf-8")
+        messages = _messages(sock)
         while not stop["flag"]:
             try:
-                line = reader.readline()
+                msg = next(messages, None)
             except OSError:
                 break
-            if not line:
+            if msg is None:
                 break
-            msg = decode_message(line)
             if msg["kind"] == "ack" and not msg["ok"]:
                 raise BadPattern(msg.get("error", "subscription rejected"))
             if msg["kind"] == "event" and msg.get("event") == "metric":

@@ -8,12 +8,13 @@ reflectors by heartbeat age. Each notification also goes to stderr as one
 JSON line. A request that fails is answered with one negative ack whose
 error reads "<error type>: <message>". Link quality, the optimizer cycle,
 routing install and gateway flow run in its one Registry (registry.py), the
-same class the simulator drives, over links derived from uplinked peer
-metrics. Route installs are event-driven: when a pass of control lines
-changes the routing inputs (a registration, a changed room set, a link's
-first sample), one optimizer cycle runs at the next loop pass, and never
-sooner after the last cycle than that cycle took, so a storm of changes
-costs at most about half the loop. The optimizer period is only a refresh
+same class the simulator drives, over the links that
+Registry.observe_uplink derives from uplinked peer.<id>.rtt_ms samples.
+Route installs are event-driven: when a pass of control lines changes the
+routing inputs (a registration, a changed room set, a link's first
+sample), one optimizer cycle runs at the next loop pass, and never sooner
+after the last cycle than that cycle took, so a storm of changes costs at
+most about half the loop. The optimizer period is only a refresh
 bound. Leases run on the registry's clock. A reflector that registers gets
 its table from the last install, if it has one, right after the ack.
 
@@ -63,7 +64,7 @@ from .errors import (
     Truncated,
 )
 from .model import NO_ID, LinkStats, link_key
-from .monitor import MetricCollector, MetricSample, MonitorService, compile_pattern
+from .monitor import MetricCollector, MonitorService, compile_pattern
 from .protocol import (
     decode_message,
     encode_message,
@@ -83,7 +84,7 @@ from .protocol import (
     routing_table_from_message,
 )
 from .reflector import ReflectorEngine
-from .registry import Registry, RegistryEntry
+from .registry import LINK_CAPACITY_KBPS, Registry
 from .supervisor import NotificationEvent, ProbeResult, RestartCommand
 from .wire import HEADER_SIZE, read_header
 
@@ -319,8 +320,6 @@ class _Conn:
 class RegistryDaemon:
     """Registry, monitor fanout, optimizer, and supervisor over TCP."""
 
-    DEFAULT_LINK_CAPACITY_KBPS = 10_000.0
-
     def __init__(self, config: OverlayConfig, listen: Optional[str] = None):
         self.config = config
         self.listen_address = parse_hostport(listen or config.registry_address)
@@ -371,15 +370,8 @@ class RegistryDaemon:
     def _dispatch(self, conn: _Conn, msg: dict) -> None:
         kind = msg["kind"]
         if kind == "register":
-            epoch = self.registry.register(
-                RegistryEntry(
-                    reflector=msg["reflector"],
-                    control_address=msg["address"],
-                    region=msg.get("region", ""),
-                    registered_at=now_ms(),
-                    last_heartbeat=now_ms(),
-                )
-            )
+            epoch = self.registry.register(msg["reflector"], msg["address"],
+                                           msg.get("region", ""), now_ms())
             self._by_reflector[msg["reflector"]] = conn
             conn.send_msg(make_ack(True, epoch=epoch))
             table = self.registry.tables.get(msg["reflector"])
@@ -418,8 +410,7 @@ class RegistryDaemon:
                 snap = self.registry.publish_snapshot(now_ms())
             conn.send_msg(make_snapshot(snap))
         elif kind == "event" and msg.get("event") == "metric":
-            sample = metric_sample_from_event(msg)
-            self.monitor.record([sample, *self._derive_link(sample)])
+            self.monitor.record(self.registry.observe_uplink(metric_sample_from_event(msg)))
         elif kind == "probe":
             conn.send_msg(make_probe_reply(0, self.registry.epoch))
         else:
@@ -429,32 +420,6 @@ class RegistryDaemon:
         sub = self._subscribers.pop(conn, None)
         if sub is not None:
             self.monitor.unsubscribe(sub.id)
-
-    def _derive_link(self, sample: MetricSample) -> tuple:
-        """Uplinked peer.<id>.rtt_ms samples define the overlay's link table.
-
-        Returns the link's derived ``peer.<id>.quality`` sample, if any.
-        """
-        parts = sample.name.split(".")
-        if len(parts) != 3 or parts[0] != "peer" or parts[2] != "rtt_ms":
-            return ()
-        try:
-            peer = int(parts[1])
-        except ValueError:
-            return ()
-        if peer == sample.reflector:
-            return ()
-        current = self.registry.observe_link(
-            LinkStats(
-                link=link_key(sample.reflector, peer),
-                rtt_ms=max(sample.value, 0.0),
-                loss_fraction=0.0,
-                capacity_kbps=self.DEFAULT_LINK_CAPACITY_KBPS,
-                sampled_at=sample.at,
-            )
-        )
-        return (MetricSample(sample.reflector, sys.intern("peer.%d.quality" % peer), current.q,
-                             sample.at),)
 
     # --- periodic work (publish, optimize, supervise) ---
 
@@ -641,7 +606,7 @@ class ReflectorDaemon:
         decode_message(line)  # a malformed reply closes the probe: no link
         self._links.append(LinkStats(
             link=link_key(self.config.reflector_id, peer_id), rtt_ms=rtt_ms, loss_fraction=0.0,
-            capacity_kbps=RegistryDaemon.DEFAULT_LINK_CAPACITY_KBPS, sampled_at=now_ms()))
+            capacity_kbps=LINK_CAPACITY_KBPS, sampled_at=now_ms()))
         conn.close()
 
     def _probe_done(self, peer_id: Optional[int], conn: Optional[_Conn]) -> None:

@@ -10,9 +10,11 @@ one publish interval.
 The same Registry runs the control loop: the supervisor, the per-link
 quality filters, the installed distribution tree and the last published
 routing tables. Callers feed it link measurements through ``observe_link``
-and call ``cycle`` on the optimizer period, which builds its graph from the
-registry alone: the live reflectors that are not Failed, and the link
-records, whose quality is the filter value ``observe_link`` stored.
+(the registry daemon through ``observe_uplink``, which derives a link from
+each uplinked ``peer.<id>.rtt_ms`` sample) and call ``cycle`` on the
+optimizer period, which builds its graph from the registry alone: the live
+reflectors that are not Failed, and the link records, whose quality is the
+filter value ``observe_link`` stored.
 ``inputs_changed`` says the routing inputs changed since the last cycle (a
 registration, a changed room set, a link's first sample), so a driver may
 run a cycle at once rather than wait for the period.
@@ -30,12 +32,14 @@ runs inside the deterministic simulator and against real sockets.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional
 
 from .config import OverlayConfig
 from .errors import DuplicateId, UnknownReflector
-from .model import LinkStats, ReflectorId, RoomId, link_key
+from .model import MAX_ID, NO_ID, LinkStats, ReflectorId, RoomId, link_key
+from .monitor import MetricSample
 from .optimizer import (
     Reroute,
     TreeResult,
@@ -49,6 +53,8 @@ from .optimizer import (
 from .quality import QualityFactor, raw_quality, update_ewma
 from .reflector import RoutingTable
 from .supervisor import HealthState, Supervisor
+
+LINK_CAPACITY_KBPS = 10_000.0  # the capacity of a link the daemons measure by rtt alone
 
 
 @dataclass
@@ -132,20 +138,18 @@ class Registry:
 
     # --- membership of the overlay itself ---
 
-    def register(self, entry: RegistryEntry) -> int:
-        """Admit a reflector and watch it; returns the snapshot epoch.
+    def register(self, reflector: ReflectorId, address: str, region: str, now: float) -> int:
+        """Admit a reflector, leased from ``now``, and watch it; returns the snapshot epoch.
 
         A Failed reflector that registers again has been restarted, so its
         supervision resumes; that is the only way out of Failed.
         """
-        if entry.reflector in self._entries:
-            raise DuplicateId("reflector %d already registered" % entry.reflector)
-        if entry.last_heartbeat < entry.registered_at:
-            entry = replace(entry, last_heartbeat=entry.registered_at)
-        self._entries[entry.reflector] = entry
+        if reflector in self._entries:
+            raise DuplicateId("reflector %d already registered" % reflector)
+        self._entries[reflector] = RegistryEntry(reflector, address, region, now, now)
         self.inputs_changed = True
-        if self.supervisor.watch(entry.reflector).state is HealthState.FAILED:
-            self.supervisor.clear_failed(entry.reflector)
+        if self.supervisor.watch(reflector).state is HealthState.FAILED:
+            self.supervisor.clear_failed(reflector)
         return self._snapshot_epoch
 
     def deregister(self, reflector: ReflectorId) -> None:
@@ -226,6 +230,30 @@ class Registry:
         self.filters[key] = current
         self._links[key] = LinkRecord(stats, current)
         return current
+
+    def observe_uplink(self, sample: MetricSample) -> list:
+        """An uplinked metric sample, followed by what the registry derives from it.
+
+        A reflector's ``peer.<id>.rtt_ms`` sample, for a peer id in
+        1..MAX_ID other than the sender's own, measures that link: it goes
+        through ``observe_link`` (rtt clamped at 0, no loss,
+        LINK_CAPACITY_KBPS) and the link's ``peer.<id>.quality`` sample
+        follows it. Any other sample comes back alone.
+        """
+        parts = sample.name.split(".")
+        if len(parts) != 3 or parts[0] != "peer" or parts[2] != "rtt_ms":
+            return [sample]
+        try:
+            peer = int(parts[1])
+        except ValueError:
+            return [sample]
+        if not NO_ID < peer <= MAX_ID or peer == sample.reflector:
+            return [sample]
+        current = self.observe_link(LinkStats(link_key(sample.reflector, peer),
+                                              max(sample.value, 0.0), 0.0,
+                                              LINK_CAPACITY_KBPS, sample.at))
+        return [sample, MetricSample(sample.reflector, sys.intern("peer.%d.quality" % peer),
+                                     current.q, sample.at)]
 
     def drop_link(self, a: ReflectorId, b: ReflectorId) -> None:
         self._links.pop(link_key(a, b), None)

@@ -43,7 +43,7 @@ from ..errors import LinkDown, OverlayError, RegistryUnreachable
 from ..model import NO_ID, LinkStats
 from ..monitor import MetricCollector, MonitorService
 from ..reflector import ReflectorEngine
-from ..registry import Registry, RegistryEntry
+from ..registry import Registry
 from ..supervisor import NotificationEvent, ProbeResult, RestartCommand
 from ..wire import HEADER_SIZE
 from .core import EventLoop, SimLink, SimNetwork
@@ -78,7 +78,6 @@ class MediaCounters:
     injected: int = 0
     inject_skipped: int = 0
     delivered: int = 0
-    lost_links: int = 0
     dropped_link_down: int = 0
     dropped_dead_peer: int = 0
 
@@ -229,7 +228,7 @@ class SimReport:
         lines = [
             "scenario: %s (seed %d, %.0f ms)" % (self.scenario, self.seed, self.duration_ms),
             "packets: injected=%d delivered=%d loss_drops=%d link_down_drops=%d dead_peer_drops=%d"
-            % (self.media.injected, self.media.delivered, self.media.lost_links,
+            % (self.media.injected, self.media.delivered, self.transmissions_lost,
                self.media.dropped_link_down, self.media.dropped_dead_peer),
             "transmissions: sent=%d delivered=%d lost=%d in_flight=%d"
             % (self.transmissions_sent, self.transmissions_delivered, self.transmissions_lost,
@@ -267,7 +266,11 @@ class OverlaySim:
         self._partition_down: set = set()
 
         self.notifications: list = []  # NotificationEvents, in supervision order
-        self.registry = Registry(self.config, self._install_table)
+        # The registry reaches the simulator only through a weak reference and
+        # `run` empties the event queue as it ends, so a finished simulator, and
+        # its open trace file, go with its last reference, not at a collection.
+        install = weakref.WeakMethod(self._install_table)
+        self.registry = Registry(self.config, lambda rid, table: install()(rid, table))
         self.supervisor = self.registry.supervisor
         self.monitor = MonitorService(
             series_capacity=self.config.series_capacity,
@@ -318,13 +321,7 @@ class OverlaySim:
         return node
 
     def _register(self, node: SimNode, at: float) -> None:
-        self.registry.register(RegistryEntry(
-            reflector=node.id,
-            control_address="sim://%d" % node.id,
-            region=node.region,
-            registered_at=at,
-            last_heartbeat=at,
-        ))
+        self.registry.register(node.id, "sim://%d" % node.id, node.region, at)
 
     def add_reflector(self, rid: int, region: str = "", link_to=None, **link_params) -> SimNode:
         """Bring a brand-new reflector into the running overlay."""
@@ -552,7 +549,6 @@ class OverlaySim:
                 self._trace("drop", rid, peer, "link_down", room, seq, src)
                 continue
             if at is None:
-                self.media.lost_links += 1
                 self._trace("drop", rid, peer, "loss", room, seq, src)
 
     def _deliver_local(self, rid: int, packet: tuple, client: int, t: str) -> None:
@@ -582,6 +578,7 @@ class OverlaySim:
 
     def run(self) -> SimReport:
         self.loop.run_until(self.scenario.duration_ms)
+        self.loop._queue.clear()  # events past the end never run, and each holds the simulator
         self._check_expectations()
         self.trace.flush()
         sent = sum(c.sent for c in self.net.counters.values())

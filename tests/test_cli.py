@@ -18,7 +18,7 @@ from vroverlay.cli import (
     main,
 )
 from vroverlay.config import load_config
-from vroverlay.daemon import RegistryDaemon, ReflectorDaemon
+from vroverlay.daemon import MAX_LINE, RegistryDaemon, ReflectorDaemon
 from vroverlay.model import LinkStats
 from vroverlay.monitor import MetricSample
 from vroverlay.protocol import encode_message, make_metric_event, make_register, snapshot_to_dict
@@ -353,6 +353,38 @@ def test_metrics_tail_streams_filtered_samples(registry, capsys):
     for line in lines:
         assert " 7 vrvs.clients " in line
         assert line.startswith("19")  # ISO timestamp (epoch-ms based)
+
+
+@pytest.mark.parametrize("command", [("metrics", "tail"), ("topo", "export")],
+                         ids=["metrics-tail", "topo-export"])
+def test_registry_line_longer_than_max_line_exits_two(command):
+    # A fake registry sends MAX_LINE bytes with no newline and keeps the
+    # connection open: the CLI must give the line up, not wait for its end.
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    finished = threading.Event()
+
+    def flood():
+        conn, _ = server.accept()
+        with conn:
+            try:
+                conn.sendall(b"x" * MAX_LINE)
+            except OSError:
+                pass  # the CLI gave up and closed first
+            finished.wait(30)
+
+    thread = threading.Thread(target=flood, daemon=True)
+    thread.start()
+    try:
+        result = run_cli(*command, "--registry", "127.0.0.1:%d" % server.getsockname()[1],
+                         timeout=10)
+    finally:
+        finished.set()
+        thread.join(timeout=5)
+        server.close()
+    assert result.returncode == EXIT_INPUT, result.stderr
+    assert "longer than %d bytes" % MAX_LINE in result.stderr
 
 
 # --- daemon exit codes via subprocess ---

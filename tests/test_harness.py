@@ -259,6 +259,23 @@ def test_trace_outlives_its_collected_simulator(tmp_path):
     check_trace_view(report.trace, path)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
+def test_finished_simulator_goes_with_its_last_reference():
+    # No cycle holds a finished run: with the cycle collector off, dropping
+    # the simulator and its report closes the trace file at once.
+    scenario = load_scenario_file(os.path.join(SCENARIOS, "line3.json"))
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    gc.disable()
+    try:
+        for _ in range(100):
+            OverlaySim(scenario).run()
+        after = len(os.listdir("/proc/self/fd"))
+    finally:
+        gc.enable()
+    assert after == before
+
+
 def test_trace_iterates_the_same_events_twice_and_interleaved():
     report = OverlaySim(load_scenario_file(os.path.join(SCENARIOS, "eu-us-backup.json"))).run()
     first = list(report.trace)

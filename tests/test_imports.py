@@ -1,4 +1,4 @@
-"""Imports under src/vroverlay: each name used, and the daemons' import boundary."""
+"""Imports under src/vroverlay: each name used; the daemons' and the registry's boundaries."""
 import ast
 import os
 import pathlib
@@ -34,3 +34,22 @@ def test_daemon_processes_never_load_the_simulator():
                          capture_output=True, text=True).stdout.split()
     assert "vroverlay.daemon" in out
     assert [m for m in out if m.startswith(("vroverlay.sim", "vroverlay.control"))] == []
+
+
+def test_registry_decisions_stay_free_of_sockets_threads_and_drivers():
+    # Registration, uplinked links and the control loop run without I/O, so
+    # tests and either driver reach them with no socket.
+    modules = set()  # absolute names; registry.py's relative imports are in vroverlay
+    for node in ast.walk(ast.parse((SRC / "registry.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            modules.update("vroverlay.%s" % name for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    top = {m.split(".")[0] for m in modules}
+    assert not top & {"socket", "selectors", "threading", "time"}
+    inner = {m.split(".")[1] for m in modules if m.startswith("vroverlay.")}
+    assert "optimizer" in inner  # the walk saw the package imports
+    assert not inner & {"daemon", "protocol", "cli", "sim"}

@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 from vroverlay.config import OverlayConfig
 from vroverlay.errors import DuplicateId, UnknownReflector
 from vroverlay.model import LinkStats, link_key
-from vroverlay.registry import Registry, RegistryEntry
+from vroverlay.monitor import MetricSample
+from vroverlay.registry import Registry
 
 
 def entry(rid, at=0.0, region="EU"):
-    return RegistryEntry(
-        reflector=rid,
-        control_address="tcp://10.0.0.%d:7000" % rid,
-        region=region,
-        registered_at=at,
-        last_heartbeat=at,
-    )
+    """The arguments of `Registry.register` for reflector `rid`, registered at `at`."""
+    return rid, "tcp://10.0.0.%d:7000" % rid, region, at
 
 
 def live_ids(snap):
@@ -34,7 +30,7 @@ def make_registry(**config):
 
 def test_register_into_empty_registry():
     reg = make_registry()
-    reg.register(entry(1))
+    reg.register(*entry(1))
     snap = reg.publish_snapshot(0.0)
     assert [e.reflector for e in snap.reflectors] == [1]
     assert snap.links == ()
@@ -43,23 +39,23 @@ def test_register_into_empty_registry():
 
 def test_register_duplicate_rejected_while_live():
     reg = make_registry()
-    reg.register(entry(1))
+    reg.register(*entry(1))
     with pytest.raises(DuplicateId):
-        reg.register(entry(1))
+        reg.register(*entry(1))
 
 
 def test_reregistration_allowed_after_expiry():
     reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
-    reg.register(entry(1, at=0.0))
+    reg.register(*entry(1, at=0.0))
     reg.expire(31.0)
-    reg.register(entry(1, at=40.0))  # no DuplicateId: old lease expired
+    reg.register(*entry(1, at=40.0))  # no DuplicateId: old lease expired
     assert reg.is_live(1)
 
 
 def test_heartbeat_keeps_entry_live_and_silence_expires_it():
     reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
-    reg.register(entry(1, at=0.0))
-    reg.register(entry(2, at=0.0))
+    reg.register(*entry(1, at=0.0))
+    reg.register(*entry(2, at=0.0))
     for t in (10.0, 20.0, 30.0, 40.0):
         reg.heartbeat(1, t)
     snap = reg.publish_snapshot(40.5)  # reflector 2 silent for > 30 ms
@@ -77,15 +73,15 @@ def test_heartbeat_unknown_reflector():
 
 def test_heartbeat_exactly_at_timeout_survives():
     reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
-    reg.register(entry(1, at=0.0))
+    reg.register(*entry(1, at=0.0))
     assert reg.expire(30.0) == []     # strict >: exactly 3 intervals is alive
     assert reg.expire(30.1) == [1]
 
 
 def test_advertise_membership_and_room_members_view():
     reg = make_registry()
-    reg.register(entry(1))
-    reg.register(entry(2))
+    reg.register(*entry(1))
+    reg.register(*entry(2))
     reg.advertise_membership(2, {7})
     assert reg.room_members() == {7: {2}}
     reg.advertise_membership(1, {7, 9})
@@ -102,8 +98,8 @@ def test_advertise_unknown_reflector():
 
 def test_snapshot_prunes_dead_reflectors_everywhere():
     reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
-    reg.register(entry(1, at=0.0))
-    reg.register(entry(2, at=0.0))
+    reg.register(*entry(1, at=0.0))
+    reg.register(*entry(2, at=0.0))
     reg.advertise_membership(2, {7})
     reg.observe_link(link_stats(1, 2))
     assert reg.cycle(0.0).epoch == 1
@@ -117,8 +113,8 @@ def test_snapshot_prunes_dead_reflectors_everywhere():
 
 def test_snapshot_internal_consistency_with_links():
     reg = make_registry()
-    reg.register(entry(1))
-    reg.register(entry(2))
+    reg.register(*entry(1))
+    reg.register(*entry(2))
     reg.observe_link(link_stats(1, 2))
     assert reg.cycle(0.0).epoch == 1
     reg.advertise_membership(1, {4})
@@ -134,23 +130,23 @@ def test_snapshot_internal_consistency_with_links():
 
 def test_snapshot_epochs_strictly_increase():
     reg = make_registry()
-    reg.register(entry(1))
+    reg.register(*entry(1))
     epochs = [reg.publish_snapshot(float(t)).epoch for t in range(5)]
     assert epochs == [1, 2, 3, 4, 5]
 
 
 def test_subscriber_sees_new_reflector_within_one_publish():
     reg = make_registry()
-    reg.register(entry(1))
+    reg.register(*entry(1))
     assert live_ids(reg.publish_snapshot(0.0)) == {1}
-    reg.register(entry(4))
+    reg.register(*entry(4))
     assert live_ids(reg.publish_snapshot(10.0)) == {1, 4}  # next interval: 4 appears
     assert live_ids(reg.latest_snapshot) == {1, 4}
 
 
 def test_deregister_removes_entry():
     reg = make_registry()
-    reg.register(entry(1))
+    reg.register(*entry(1))
     reg.deregister(1)
     assert not reg.is_live(1)
     with pytest.raises(UnknownReflector):
@@ -159,8 +155,8 @@ def test_deregister_removes_entry():
 
 def test_returning_reflector_is_back_in_the_snapshot_tree_before_the_next_install():
     reg = make_registry(heartbeat_interval_ms=10.0, liveness_intervals=3)
-    reg.register(entry(1))
-    reg.register(entry(2))
+    reg.register(*entry(1))
+    reg.register(*entry(2))
     reg.observe_link(link_stats(1, 2))
     assert reg.cycle(0.0).epoch == 1
     reg.heartbeat(1, 40.0)
@@ -168,14 +164,55 @@ def test_returning_reflector_is_back_in_the_snapshot_tree_before_the_next_instal
     assert reg.build_snapshot().tree_edges == frozenset()
     # 2 comes back before the next cycle: the snapshots show the installed
     # tree again, and the gate keeps it.
-    reg.register(entry(2, at=40.0))
+    reg.register(*entry(2, at=40.0))
     reg.observe_link(link_stats(1, 2, at=40.0))
     assert reg.publish_snapshot(40.0).tree_edges == {(1, 2)} == reg.tree.edges
     assert reg.cycle(40.0) is None
-    reg.register(entry(3, at=40.0))
+    reg.register(*entry(3, at=40.0))
     reg.observe_link(link_stats(2, 3, at=40.0))
     assert reg.cycle(41.0).epoch == 2
     assert reg.publish_snapshot(41.0).tree_edges == {(1, 2), (2, 3)}
+
+
+def uplink_registry():
+    """Reflectors 3, 5 and 7, with the inputs of their registration taken by a cycle."""
+    reg = make_registry()
+    for rid in (3, 5, 7):
+        reg.register(*entry(rid))
+    reg.cycle(0.0)
+    assert not reg.inputs_changed
+    return reg
+
+
+@pytest.mark.parametrize("rtt, recorded", [(12.0, 12.0), (-4.0, 0.0)])
+def test_uplinked_peer_rtt_defines_a_link_and_its_quality_sample(rtt, recorded):
+    reg = uplink_registry()
+    sample = MetricSample(3, "peer.7.rtt_ms", rtt, 5.0)
+    out = reg.observe_uplink(sample)
+    [record] = reg.links()
+    assert record.stats == LinkStats(link=(3, 7), rtt_ms=recorded, loss_fraction=0.0,
+                                     capacity_kbps=10_000.0, sampled_at=5.0)
+    assert out == [sample, MetricSample(3, "peer.7.quality", record.quality.q, 5.0)]
+    assert out[0] is sample
+    assert reg.inputs_changed
+
+
+@pytest.mark.parametrize("name, sender", [
+    ("peer.x.rtt_ms", 3),
+    ("peer.5.loss", 3),
+    ("peer.5.rtt_ms.extra", 3),
+    ("vrvs.clients", 3),
+    ("peer.3.rtt_ms", 3),  # the sender names itself
+    ("peer.0.rtt_ms", 3),
+    ("peer.-5.rtt_ms", 3),
+    ("peer.4294967296.rtt_ms", 3),
+])
+def test_other_uplinked_samples_leave_the_links_alone(name, sender):
+    reg = uplink_registry()
+    sample = MetricSample(sender, name, 12.0, 5.0)
+    assert reg.observe_uplink(sample) == [sample]
+    assert reg.links() == [] and reg.filters == {}
+    assert not reg.inputs_changed
 
 
 IDS = st.integers(1, 5)
@@ -204,7 +241,7 @@ def test_snapshots_and_installs_follow_the_installed_tree(ops):
         if op in ("register", "deregister", "heartbeat", "advertise"):
             rid = args[0]
             call = {
-                "register": lambda: reg.register(entry(rid, at=now)),
+                "register": lambda: reg.register(*entry(rid, at=now)),
                 "deregister": lambda: reg.deregister(rid),
                 "heartbeat": lambda: reg.heartbeat(rid, now),
                 "advertise": lambda: reg.advertise_membership(rid, args[1]),

@@ -8,7 +8,7 @@ from vroverlay.daemon import RegistryDaemon
 from vroverlay.errors import DuplicateId, RegistryUnreachable
 from vroverlay.model import LinkStats, link_key
 from vroverlay.protocol import decode_message, encode_message, make_snapshot_request
-from vroverlay.registry import Registry, RegistryEntry
+from vroverlay.registry import Registry
 from vroverlay.supervisor import HealthState, ProbeResult
 
 from test_daemon import FAST, reflector, wait_for
@@ -18,7 +18,7 @@ def triangle(transport):
     """Reflectors 1-3 in a triangle; (1, 2) is the cheapest link."""
     registry = Registry(OverlayConfig(), transport)
     for rid in (1, 2, 3):
-        registry.register(RegistryEntry(reflector=rid, control_address="fake://%d" % rid))
+        registry.register(rid, "fake://%d" % rid, "", 0.0)
     for i, (a, b) in enumerate([(1, 2), (2, 3), (1, 3)]):
         registry.observe_link(
             LinkStats(link=link_key(a, b), rtt_ms=10.0 * (i + 1), loss_fraction=0.0,
@@ -45,10 +45,10 @@ def test_registering_again_clears_failed():
     while registry.supervisor.records[3].state is not HealthState.FAILED:
         registry.supervisor.supervise_tick({3: ProbeResult.NO_ANSWER})
     with pytest.raises(DuplicateId):
-        registry.register(RegistryEntry(reflector=3, control_address="fake://3"))
+        registry.register(3, "fake://3", "", 0.0)
     assert registry.supervisor.records[3].state is HealthState.FAILED
     registry.expire(registry.liveness_timeout_ms + 1.0)  # its lease ran out
-    registry.register(RegistryEntry(reflector=3, control_address="fake://3"))
+    registry.register(3, "fake://3", "", 0.0)
     assert registry.is_live(3)
     assert registry.supervisor.records[3].state is HealthState.UNRESPONSIVE
     assert 3 in registry.supervisor.probe_targets()
@@ -133,9 +133,9 @@ def test_changed_room_set_under_a_keep_gate_reinstalls_the_current_tree():
 def test_registration_room_change_and_first_link_sample_mark_inputs_changed():
     registry = Registry(OverlayConfig(), lambda rid, table: None)
     assert not registry.inputs_changed
-    registry.register(RegistryEntry(reflector=1, control_address="fake://1"))
+    registry.register(1, "fake://1", "", 0.0)
     assert registry.inputs_changed
-    registry.register(RegistryEntry(reflector=2, control_address="fake://2"))
+    registry.register(2, "fake://2", "", 0.0)
     registry.cycle(0.0)
     assert not registry.inputs_changed
     registry.advertise_membership(1, {5})
