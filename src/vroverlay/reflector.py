@@ -18,7 +18,8 @@ next.
 Destinations are kept sorted so that forward only filters: each room's
 members are an ascending list, kept in order as clients join and leave,
 and the first forward for a room under a table caches that room's egress
-as an ascending tuple. A table swap drops every cached egress.
+as an ascending tuple, one tuple per distinct egress set, which rooms with
+equal egress share. A table swap drops every cached egress.
 
 The engine reports no membership change; its owner advertises
 local_rooms() after it changes membership. Membership mutations are
@@ -71,6 +72,7 @@ class ReflectorEngine:
         self._clients: dict = {}            # ClientId -> delivery endpoint handle
         self._rooms: dict = {}              # RoomId -> ascending list of ClientId
         self._egress: dict = {}             # RoomId -> ascending tuple of the table's egress
+        self._sorted: dict = {}             # frozenset egress -> that shared ascending tuple
         self._routing: RoutingTable = EMPTY_ROUTING
 
     # --- client / room membership ---
@@ -128,6 +130,7 @@ class ReflectorEngine:
             raise StaleEpoch("epoch %d is not newer than installed %d" % (new.epoch, old.epoch))
         self._routing = new
         self._egress.clear()
+        self._sorted.clear()
         return old.epoch
 
     # --- forwarding ---
@@ -151,7 +154,8 @@ class ReflectorEngine:
         if egress is None:
             peer_egress = self._routing.room_egress.get(room)  # one read of the table
             if peer_egress is not None:
-                egress = self._egress[room] = tuple(sorted(peer_egress))
+                egress = self._egress[room] = self._sorted.setdefault(
+                    peer_egress, tuple(sorted(peer_egress)))
             elif members is None:
                 self.counters.unknown_room_drops += 1
                 return [], [], 0

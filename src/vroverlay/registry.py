@@ -234,14 +234,17 @@ class Registry:
     def observe_uplink(self, sample: MetricSample) -> list:
         """An uplinked metric sample, followed by what the registry derives from it.
 
-        A reflector's ``peer.<id>.rtt_ms`` sample, for a peer id in
+        A live reflector's ``peer.<id>.rtt_ms`` sample, for a peer id in
         1..MAX_ID other than the sender's own, measures that link: it goes
         through ``observe_link`` (rtt clamped at 0, no loss,
         LINK_CAPACITY_KBPS) and the link's ``peer.<id>.quality`` sample
-        follows it. Any other sample comes back alone.
+        follows it. Any other sample, or one from a sender that is not
+        registered, comes back alone.
         """
         parts = sample.name.split(".")
         if len(parts) != 3 or parts[0] != "peer" or parts[2] != "rtt_ms":
+            return [sample]
+        if sample.reflector not in self._entries:
             return [sample]
         try:
             peer = int(parts[1])

@@ -4,7 +4,9 @@ No wall-clock sleeps anywhere: time is a float of virtual milliseconds and
 events fire in (time, insertion sequence) order, so a full run is a pure
 function of the scenario and seed. Each link draws losses from its own
 pseudo-random substream derived by hashing (seed, link id); adding a link
-never perturbs any other link's draws.
+never perturbs any other link's draws. A link makes its substream when its
+loss first turns positive, since a lossless link never draws: a link that
+stays lossless holds none, and turning loss off and on never re-seeds.
 """
 from __future__ import annotations
 
@@ -111,13 +113,14 @@ class SimNetwork:
 
     A hop finds a link's one `(SimLink, LinkCounters, random.Random)` record
     with one lookup; `links` maps the same `SimLink`s, which change in place.
+    The record's stream is None until the link's loss first turns positive.
     """
 
     def __init__(self, loop: EventLoop, seed: int):
         self.loop = loop
         self.seed = seed
         self.links: dict = {}     # (a, b) -> SimLink
-        self._records: dict = {}  # (a, b) -> (SimLink, LinkCounters, random.Random)
+        self._records: dict = {}  # (a, b) -> (SimLink, LinkCounters, random.Random or None)
 
     @property
     def counters(self) -> dict:  # (a, b) -> LinkCounters
@@ -128,9 +131,16 @@ class SimNetwork:
         if key in self.links:
             raise ValueError("duplicate link %s" % (key,))
         self.links[key] = link
-        rng = random.Random(link_stream_seed(self.seed, *key))
-        self._records[key] = (link, LinkCounters(), rng)
+        self._records[key] = (link, LinkCounters(), None)
+        self._make_stream(key)
         return link
+
+    def _make_stream(self, key) -> None:
+        """Give a link whose loss is positive its substream, once."""
+        link, counters, rng = self._records[key]
+        if rng is None and link.loss_probability > 0.0:
+            rng = random.Random(link_stream_seed(self.seed, *key))
+            self._records[key] = (link, counters, rng)
 
     def set_link(self, a: ReflectorId, b: ReflectorId, **params) -> SimLink:
         """Change link parameters in place; an invalid value changes none of them."""
@@ -141,6 +151,7 @@ class SimNetwork:
         replace(link, **params)  # a throwaway copy: SimLink's checks raise before any change
         for name, value in params.items():
             setattr(link, name, value)
+        self._make_stream(link.key)
         return link
 
     def transmit(

@@ -37,6 +37,7 @@ import tempfile
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..config import OverlayConfig, apply_overrides
 from ..errors import LinkDown, OverlayError, RegistryUnreachable
@@ -279,8 +280,12 @@ class OverlaySim:
         self.nodes: dict = {}         # reflector id -> SimNode
         self.client_home: dict = {}   # client id -> reflector id
         self.room_clients: dict = {}  # room id -> set of client ids
-        self.delivered_to: dict = {}  # packet key -> {client: count}
+        # packet key -> {client: count}; once a packet has reached each of its
+        # receivers exactly once, the read-only {client: 1} that every packet
+        # with that receiver set shares, kept in `_retired`
+        self.delivered_to: dict = {}
         self.expected_receivers: dict = {}  # packet key -> frozenset of clients
+        self._retired: dict = {}      # frozenset of clients -> MappingProxyType {client: 1}
         self._streams: dict = {}      # (room, src) -> (last seq, frozenset of its receivers)
 
         for spec in scenario.reflectors:
@@ -552,12 +557,24 @@ class OverlaySim:
                 self._trace("drop", rid, peer, "loss", room, seq, src)
 
     def _deliver_local(self, rid: int, packet: tuple, client: int, t: str) -> None:
-        """Deliver to a local client; `t` is the clock's text for the trace line."""
+        """Deliver to a local client; `t` is the clock's text for the trace line.
+
+        The first delivery that completes a packet's receivers, each once and
+        no one else, retires its counts to the shared read-only record; a
+        later delivery copies that record back to a dict before counting.
+        """
         counts = self.delivered_to[packet]
-        counts[client] = counts.get(client, 0) + 1
+        if type(counts) is not dict:
+            counts = self.delivered_to[packet] = dict(counts)
+        got = counts[client] = counts.get(client, 0) + 1
         self.media.delivered += 1
-        if counts[client] > 1:
+        if got > 1:
             self._violate("duplicate delivery of packet %s to client %d" % (packet, client))
+        else:
+            receivers = self.expected_receivers[packet]
+            if counts.keys() == receivers and sum(counts.values()) == len(receivers):
+                self.delivered_to[packet] = self._retired.setdefault(
+                    receivers, MappingProxyType(counts))
         room, src, seq = packet
         self.trace.append(_DELIVER % (client, rid, room, seq, src, t))
 

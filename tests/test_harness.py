@@ -7,6 +7,7 @@ import json
 import os
 import random
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,49 @@ def test_finished_report_memory_does_not_grow_with_the_trace():
     assert more_events > 2 * len(short_report.trace)
     # In memory the text cost about 110 bytes per event.
     assert (long - short) / more_events < 5
+
+
+def test_delivery_accounting_costs_little_per_packet_once_packets_retire():
+    # A dict of its own per packet cost about 420 bytes here; what stays is each
+    # packet's two table slots, its key and the shared record's reference.
+    scenario = smoke_media_scenario(burst=12)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = OverlaySim(scenario)
+        report = sim.run()
+        with_accounting = tracemalloc.get_traced_memory()[0]
+        sim.delivered_to.clear()
+        sim.expected_receivers.clear()
+        accounting = with_accounting - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.ok() and report.transmissions_lost == 0
+    assert accounting / report.media.injected < 200
+
+
+def test_exactly_once_packets_share_one_read_only_record():
+    doc = triangle_doc(events=[{"t": 20000, "action": "inject", "room": 1, "src": 1,
+                                "count": 5, "interval_ms": 10, "payload_bytes": 50}])
+    sim = OverlaySim(load_scenario(doc))
+    late = (1, 1, 3)
+    before = []
+
+    def deliver_again():  # long after every packet arrived
+        before.append(sim.delivered_to[late])
+        sim._deliver_local(2, late, 2, sim._now_text())
+
+    sim.schedule(30000.0, deliver_again)
+    report = sim.run()
+    record = sim.delivered_to[(1, 1, 1)]
+    assert all(r is record for r in before + [sim.delivered_to[(1, 1, s)] for s in (2, 4, 5)])
+    assert isinstance(record, MappingProxyType) and record == {2: 1, 3: 1}
+    with pytest.raises(TypeError):
+        record[2] = 2
+    assert report.violations == ["duplicate delivery of packet %s to client 2" % (late,)]
+    assert sim.delivered_to[late] == {2: 2, 3: 1}
+    assert type(sim.delivered_to[late]) is dict
+    assert record == {2: 1, 3: 1}
 
 
 def test_two_live_reports_each_read_and_write_their_own_trace(tmp_path):

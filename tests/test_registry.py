@@ -215,6 +215,19 @@ def test_other_uplinked_samples_leave_the_links_alone(name, sender):
     assert not reg.inputs_changed
 
 
+def test_uplinks_from_unregistered_senders_derive_no_link():
+    reg = uplink_registry()
+    senders = range(100_001, 101_001)
+    for sender in senders:
+        sample = MetricSample(sender, "peer.7.rtt_ms", 12.0, 5.0)
+        assert reg.observe_uplink(sample) == [sample]
+    assert reg.filters == {}
+    assert not reg.inputs_changed
+    for sender in senders:  # a record kept for a sender would show once it is live
+        reg.register(*entry(sender))
+    assert reg.links() == []
+
+
 IDS = st.integers(1, 5)
 OPS = st.one_of(
     st.tuples(st.sampled_from(["register", "deregister", "heartbeat"]), IDS),

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -143,6 +144,37 @@ def test_conservation_under_loss():
     assert counters.sent == 500
     assert counters.sent == counters.delivered + counters.lost
     assert len(delivered) == counters.delivered
+
+
+def test_loss_turned_on_later_draws_the_links_one_stream():
+    # A lossless link makes its substream only when loss turns positive, and
+    # turning loss off and on again goes on with the same stream.
+    loop = EventLoop()
+    net = SimNetwork(loop, seed=9)
+    net.add_link(SimLink(a=1, b=2))
+    stream = random.Random(link_stream_seed(9, 1, 2))
+    got, want = [], []
+    for loss, count in ((0.0, 5), (0.5, 20), (0.0, 3), (0.5, 20)):
+        net.set_link(2, 1, loss_probability=loss)
+        for _ in range(count):
+            got.append(net.transmit(1, 2, 10, lambda: None) is not None)
+            want.append(loss == 0.0 or stream.random() >= loss)
+    assert got == want
+    assert got.count(False) > 0
+
+
+def test_a_lossless_link_holds_no_random_stream():
+    # A seeded random.Random costs about 2.5 KiB; a lossless link never draws.
+    net = SimNetwork(EventLoop(), seed=7)
+    links = [SimLink(a=1, b=b) for b in range(2, 1002)]
+    tracemalloc.start()
+    try:
+        for link in links:
+            net.add_link(link)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(links) < 1000
 
 
 def test_set_link_checks_every_value_before_changing_any():
