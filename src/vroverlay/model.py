@@ -66,7 +66,7 @@ class MediaPacket:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkStats:
     """One raw measurement of a peer link.
 

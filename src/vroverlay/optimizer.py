@@ -184,10 +184,8 @@ def max_flow(g: WeightedGraph, source: ReflectorId, sink: ReflectorId) -> FlowRe
     def bfs_path():
         parent = {source: None}
         queue = deque([source])
-        while queue:
+        while queue and sink not in parent:  # the sink's path is fixed once it has a parent
             u = queue.popleft()
-            if u == sink:
-                break
             for v, capacity in residual[u].items():
                 if v not in parent and capacity > 0:
                     parent[v] = u

@@ -24,7 +24,7 @@ class LinkState(enum.Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualityFactor:
     """Smoothed quality of one peer link.
 
@@ -65,7 +65,12 @@ def update_ewma(state: QualityFactor, q_sample: float, at: float = 0.0) -> Quali
         raise OutOfRange("q_sample must be in [0,1], got %r" % q_sample)
     if not 0.0 < state.alpha <= 1.0:
         raise OutOfRange("alpha must be in (0,1], got %r" % state.alpha)
-    q = _blend(state.alpha, q_sample, state.q) if state.sample_count else q_sample
+    if not state.sample_count:
+        q = q_sample
+    elif q_sample == state.q:
+        q = q_sample + 0.0  # what _blend gives for equal values: +0.0 for either zero
+    else:
+        q = _blend(state.alpha, q_sample, state.q)
     return QualityFactor(state.link, q, state.alpha, at, state.sample_count + 1)
 
 

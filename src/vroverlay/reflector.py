@@ -154,8 +154,10 @@ class ReflectorEngine:
         if egress is None:
             peer_egress = self._routing.room_egress.get(room)  # one read of the table
             if peer_egress is not None:
-                egress = self._egress[room] = self._sorted.setdefault(
-                    peer_egress, tuple(sorted(peer_egress)))
+                egress = self._sorted.get(peer_egress)
+                if egress is None:
+                    egress = self._sorted[peer_egress] = tuple(sorted(peer_egress))
+                self._egress[room] = egress
             elif members is None:
                 self.counters.unknown_room_drops += 1
                 return [], [], 0

@@ -32,8 +32,9 @@ runs inside the deterministic simulator and against real sockets.
 """
 from __future__ import annotations
 
+import copy
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from .config import OverlayConfig
@@ -68,7 +69,7 @@ class RegistryEntry:
     last_heartbeat: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRecord:
     """Latest raw stats plus smoothed quality for one overlay link."""
 
@@ -349,7 +350,7 @@ class Registry:
         installed = self.tree.edges if self.tree is not None else ()
         return TopologySnapshot(
             epoch=self._snapshot_epoch + 1,
-            reflectors=tuple(replace(e) for e in self.entries()),
+            reflectors=tuple(copy.copy(e) for e in self.entries()),
             links=tuple(self.links()),
             tree_edges=frozenset(e for e in installed if e[0] in live and e[1] in live),
             room_members=room_members,

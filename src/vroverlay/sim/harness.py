@@ -389,10 +389,11 @@ class OverlaySim:
     def _monitor_tick(self) -> None:
         now = self.loop.now
         per_node_links: dict = {rid: [] for rid in self.nodes}
+        reachable = {rid for rid, node in self.nodes.items() if node.alive} - self.isolated
         for key in sorted(self.net.links):
             link = self.net.links[key]
             a, b = key
-            if not (link.up and self._reachable(a) and self._reachable(b)):
+            if not (link.up and a in reachable and b in reachable):
                 self.registry.drop_link(a, b)
                 continue
             stats = LinkStats(

@@ -3,11 +3,14 @@
 A scenario is a JSON document describing the starting topology (reflectors,
 links, clients, rooms), an optional gateway pair for flow diagnostics,
 config overrides, optional end-of-run expectations, and a time-sorted event
-script. It is validated in one pass: each object is checked against the
+script. It is validated in two passes: each object is checked against the
 rules table of its kind, then come the checks that need the whole document
 (references, duplicate ids, event order). Each failure is a SchemaError
-naming the field by its path, such as `rooms[0].members[1]`. Identical
-(scenario, seed) pairs always replay to identical traces.
+naming the field by its path, such as `rooms[0].members[1]`. A path is
+built only for the field that fails: a failed rule raises a fault with its
+message, and each list entry and object field it leaves adds itself to the
+front of the path. Identical (scenario, seed) pairs always replay to
+identical traces.
 """
 from __future__ import annotations
 
@@ -118,13 +121,25 @@ class Scenario:
         return {r.id for r in self.reflectors}
 
 
+class _Fault(Exception):
+    """A failed rule check; each enclosing entry and field adds itself to the front of `path`."""
+
+    def __init__(self, message: str, path: str = ""):
+        self.message, self.path = message, path
+
+
 def _rule(expected: str, test, each=None):
     """A field rule: the value must pass `test`, and each of its entries `each`."""
-    def check(value, path: str) -> None:
+    def check(value) -> None:
         if not test(value):
-            raise SchemaError("field %s: expected %s, got %r" % (path, expected, value))
-        for i, entry in enumerate(value if each else ()):
-            each(entry, "%s[%d]" % (path, i))
+            raise _Fault("expected %s, got %r" % (expected, value))
+        if each:
+            try:
+                for i, entry in enumerate(value):
+                    each(entry)
+            except _Fault as fault:
+                fault.path = "[%d]%s" % (i, fault.path)
+                raise
     return check
 
 
@@ -134,23 +149,29 @@ def _list(each=None, expected="a list", test=lambda v: True):
 
 
 def _object(rules: dict, *required: str):
-    return lambda value, path: _check(value, path, rules, required)
+    return lambda value: _check(value, rules, required)
 
 
-def _check(spec, where: str, rules: dict, required=()) -> None:
+def _check(spec, rules: dict, required=()) -> None:
     """Reject a spec that is not an object or has an unknown, missing or bad field."""
     if type(spec) is not dict:
-        raise SchemaError("field %s: expected an object, got %r" % (where or "<root>", spec))
-    at = where + ".%s" if where else "%s"
+        raise _Fault("expected an object, got %r" % (spec,))
     for name in required:
         if name not in spec:
-            raise SchemaError("field %s: required field missing" % (at % name))
-    for name, value in spec.items():
-        if name in rules:
-            rules[name](value, at % name)
-    for name in spec:  # after the known fields, so that an unknown action is named first
-        if name not in rules:
-            raise SchemaError("field %s: unexpected field" % (at % name))
+            raise _Fault("required field missing", ".%s" % name)
+    known = 0
+    try:
+        for name, value in spec.items():
+            if name in rules:
+                known += 1
+                rules[name](value)
+    except _Fault as fault:
+        fault.path = ".%s%s" % (name, fault.path)
+        raise
+    if known < len(spec):  # after the known fields, so that an unknown action is named first
+        for name in spec:
+            if name not in rules:
+                raise _Fault("unexpected field", ".%s" % name)
 
 
 # Types are exact: a bool is not a number, 1.0 is not an integer, numbers are finite as in JSON.
@@ -178,15 +199,18 @@ _ACTIONS = {  # action -> (rules besides _EVENT's, required fields besides t and
 }
 _EVENT = {"t": _AT_LEAST_0, "action": _rule("one of " + ", ".join(_ACTIONS),
                                             lambda v: type(v) is str and v in _ACTIONS)}
+_EVENT_RULES = {action: ({**_EVENT, **rules}, ("t", "action") + required)
+                for action, (rules, required) in _ACTIONS.items()}
 _SET_LINK_PARAMS = {"latency_ms": "latency_ms", "loss": "loss_probability",
                     "bandwidth_kbps": "bandwidth_kbps", "up": "up"}
 
 
-def _event(spec, path: str) -> None:
+def _event(spec) -> None:
     """Check an event by the rules of its action, or only `t` and `action` if that is unknown."""
     action = spec.get("action") if type(spec) is dict else None
-    rules, required = _ACTIONS[action] if type(action) is str and action in _ACTIONS else ({}, ())
-    _check(spec, path, {**_EVENT, **rules}, ("t", "action") + required)
+    rules, required = (_EVENT_RULES[action] if type(action) is str and action in _EVENT_RULES
+                       else (_EVENT, ("t", "action")))
+    _check(spec, rules, required)
 
 
 _TOP = {
@@ -222,7 +246,10 @@ def load_scenario_file(path: str, seed_override: Optional[int] = None) -> Scenar
 
 def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     """Validate a scenario document and build the typed Scenario."""
-    _check(doc, "", _TOP, ("name", "duration_ms", "reflectors"))
+    try:
+        _check(doc, _TOP, ("name", "duration_ms", "reflectors"))
+    except _Fault as fault:  # every path below the document starts with "."
+        raise SchemaError("field %s: %s" % (fault.path[1:] or "<root>", fault.message)) from None
 
     reflectors = [ReflectorSpec(**spec) for spec in doc["reflectors"]]
     rids = {r.id for r in reflectors}
@@ -232,40 +259,38 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     links = []
     seen_links = set()
     for i, spec in enumerate(doc.get("links", ())):
-        where = "links[%d]" % i
         if spec["a"] == spec["b"]:
-            raise SchemaError("field %s: endpoints must differ" % where)
+            raise SchemaError("field links[%d]: endpoints must differ" % i)
         for end in ("a", "b"):
             if spec[end] not in rids:
-                raise SchemaError("field %s.%s: unknown reflector %d" % (where, end, spec[end]))
+                raise SchemaError("field links[%d].%s: unknown reflector %d" % (i, end, spec[end]))
         key = link_key(spec["a"], spec["b"])
         if key in seen_links:
-            raise SchemaError("field %s: duplicate link %s" % (where, key))
+            raise SchemaError("field links[%d]: duplicate link %s" % (i, key))
         seen_links.add(key)
         links.append(LinkSpec(**dict(spec, a=key[0], b=key[1])))
 
     clients = []
     cids = set()
     for i, spec in enumerate(doc.get("clients", ())):
-        where = "clients[%d]" % i
         if spec["id"] in cids:
-            raise SchemaError("field %s.id: duplicate client %d" % (where, spec["id"]))
+            raise SchemaError("field clients[%d].id: duplicate client %d" % (i, spec["id"]))
         if spec["reflector"] not in rids:
-            raise SchemaError("field %s.reflector: unknown reflector %d" % (where, spec["reflector"]))
+            raise SchemaError("field clients[%d].reflector: unknown reflector %d"
+                              % (i, spec["reflector"]))
         cids.add(spec["id"])
         clients.append(ClientSpec(**spec))
 
     rooms = []
     room_members: dict = {}
     for i, spec in enumerate(doc.get("rooms", ())):
-        where = "rooms[%d]" % i
         if spec["id"] in room_members:
-            raise SchemaError("field %s.id: duplicate room %d" % (where, spec["id"]))
+            raise SchemaError("field rooms[%d].id: duplicate room %d" % (i, spec["id"]))
         for j, c in enumerate(spec["members"]):
             if c not in cids:
-                raise SchemaError("field %s.members[%d]: unknown client %d" % (where, j, c))
+                raise SchemaError("field rooms[%d].members[%d]: unknown client %d" % (i, j, c))
         if len(set(spec["members"])) != len(spec["members"]):
-            raise SchemaError("field %s.members: duplicate client" % where)
+            raise SchemaError("field rooms[%d].members: duplicate client" % i)
         rooms.append(RoomSpec(spec["id"], tuple(spec["members"])))
         room_members[spec["id"]] = set(spec["members"])
 
@@ -280,12 +305,11 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     events = []
     last_t = -1.0
     for i, spec in enumerate(doc.get("events", ())):
-        where = "events[%d]" % i
         t = spec["t"]
         if t < last_t:
-            raise SchemaError("field %s.t: events must be sorted by time" % where)
+            raise SchemaError("field events[%d].t: events must be sorted by time" % i)
         last_t = t
-        events.append(_parse_event(spec, where, rids, room_members, seen_links))
+        events.append(_parse_event(spec, i, rids, room_members, seen_links))
 
     return Scenario(
         name=doc["name"],
@@ -302,10 +326,17 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     )
 
 
+# Keys only the daemons read: in a scenario they would be accepted and do nothing.
+_DAEMON_ONLY = ("listen", "registry_address", "reflector_id", "region", "subscriber_queue",
+                "probe_deadline_ms")
+
+
 def _check_config(config: dict, top_level_gateway: bool, rids: set) -> None:
     """Apply the overrides to a default OverlayConfig, as the simulator will."""
     overlay = OverlayConfig()
     for key, value in config.items():
+        if key in _DAEMON_ONLY:
+            raise SchemaError("field config.%s: only the daemons read this key" % key)
         try:
             overlay = apply_overrides(overlay, {key: value})
         except ConfigError as exc:
@@ -319,38 +350,39 @@ def _check_config(config: dict, top_level_gateway: bool, rids: set) -> None:
                 raise SchemaError("field config.gateway_pair: unknown reflector %d" % rid)
 
 
-def _parse_event(spec, where, rids, room_members, seen_links):
-    """Build one event whose fields `_check` has passed; check its references."""
+def _parse_event(spec, i, rids, room_members, seen_links):
+    """Build event `i`, whose fields `_check` has passed; check its references."""
     t = float(spec["t"])
     action = spec["action"]
     if action in ("kill_reflector", "restart_outcomes"):
         rid = spec["reflector"]
         if rid not in rids:
-            raise SchemaError("field %s.reflector: unknown reflector %d" % (where, rid))
+            raise SchemaError("field events[%d].reflector: unknown reflector %d" % (i, rid))
         if action == "kill_reflector":
             return KillReflector(t, rid)
         return RestartOutcomes(t, rid, tuple(spec["outcomes"]))
     if action == "set_link":
         a, b = spec["a"], spec["b"]
         if a == b or link_key(a, b) not in seen_links:
-            raise SchemaError("field %s: no such link (%s, %s)" % (where, a, b))
+            raise SchemaError("field events[%d]: no such link (%s, %s)" % (i, a, b))
         params = tuple((attr, spec[key]) for key, attr in _SET_LINK_PARAMS.items() if key in spec)
         if not params:
-            raise SchemaError("field %s: set_link changes nothing" % where)
+            raise SchemaError("field events[%d]: set_link changes nothing" % i)
         return SetLink(t, *link_key(a, b), params=params)
     if action == "inject":
         room, src = spec["room"], spec["src"]
         if room not in room_members:
-            raise SchemaError("field %s.room: unknown room %d" % (where, room))
+            raise SchemaError("field events[%d].room: unknown room %d" % (i, room))
         if src not in room_members[room]:
-            raise SchemaError("field %s.src: client %d is not in room %d" % (where, src, room))
+            raise SchemaError("field events[%d].src: client %d is not in room %d"
+                              % (i, src, room))
         fields = {name: spec[name] for name in ("count", "payload_bytes") if name in spec}
         if "interval_ms" in spec:
             fields["interval_ms"] = float(spec["interval_ms"])
         if "payload_type" in spec:
             fields["payload_type"] = _PAYLOAD_TYPES[spec["payload_type"]]
         return InjectTraffic(t, room, src, **fields)  # absent fields keep the class defaults
-    for i, rid in enumerate(spec["isolated"]):  # partition
+    for j, rid in enumerate(spec["isolated"]):  # partition
         if rid not in rids:
-            raise SchemaError("field %s.isolated[%d]: unknown reflector %d" % (where, i, rid))
+            raise SchemaError("field events[%d].isolated[%d]: unknown reflector %d" % (i, j, rid))
     return Partition(t, frozenset(spec["isolated"]))

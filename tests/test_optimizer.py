@@ -223,6 +223,76 @@ def test_flow_matches_brute_force_cut_oracle():
         assert cut_capacity == pytest.approx(result.value, abs=1e-9)
 
 
+
+def reference_max_flow(g, source, sink):
+    """max_flow as it was before its BFS stopped at the sink's first parent."""
+    residual = {v: {} for v in g.vertices}
+    for (a, b), attrs in g.edges.items():
+        residual[a][b] = attrs.capacity
+        residual[b][a] = attrs.capacity
+    residual = {u: dict(sorted(nbrs.items())) for u, nbrs in residual.items()}
+
+    def bfs_path():
+        parent = {source: None}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if u == sink:
+                break
+            for v, capacity in residual[u].items():
+                if v not in parent and capacity > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return None
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
+
+    value = 0.0
+    while True:
+        path = bfs_path()
+        if path is None:
+            break
+        bottleneck = min(residual[u][v] for u, v in zip(path, path[1:]))
+        for u, v in zip(path, path[1:]):
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+        value += bottleneck
+    edge_flows = {(a, b): (residual[b][a] - residual[a][b]) / 2.0 for (a, b) in g.edges}
+    reachable = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v, capacity in residual[u].items():
+            if v not in reachable and capacity > 0:
+                reachable.add(v)
+                queue.append(v)
+    min_cut = frozenset(k for k in g.edges if (k[0] in reachable) != (k[1] in reachable))
+    return value, edge_flows, min_cut
+
+
+def test_flow_equals_the_reference_that_searched_past_the_sink():
+    rng = random.Random(2026)
+    graphs = [graph_of([1, 2, 3, 4], {(1, 2): (0.0, 3.0), (2, 3): (0.0, 0.0)}),  # no path
+              graph_of([1, 2, 3, 4], {(1, 2): (0.0, 2.0), (1, 3): (0.0, 2.0),
+                                      (2, 4): (0.0, 2.0), (3, 4): (0.0, 2.0)})]  # tied paths
+    graphs += [random_graph(rng, max_vertices=10, max_edges=25, integer_caps=i % 2 == 0)
+               for i in range(400)]
+    outcomes = set()
+    for g in graphs:
+        s, t = rng.sample(sorted(g.vertices), 2)
+        result = max_flow(g, s, t)
+        value, edge_flows, min_cut = reference_max_flow(g, s, t)
+        assert result.value.hex() == value.hex()
+        assert {k: f.hex() for k, f in result.edge_flows.items()} == \
+            {k: f.hex() for k, f in edge_flows.items()}
+        assert result.min_cut == min_cut
+        outcomes.add(value > 0)
+    assert outcomes == {True, False}
+
 # --- graph construction ---
 
 def link_records(link_specs):

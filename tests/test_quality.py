@@ -124,6 +124,15 @@ def test_determinism_bit_identical_trajectories():
     assert run() == run()
 
 
+
+@pytest.mark.parametrize("q", [0.0, -0.0, 5e-324, 0.1, 2 / 7, 1.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.1, 1 / 3, 0.9, 1.0])
+def test_a_sample_equal_to_q_updates_as_the_blend_does(q, alpha):
+    state = QualityFactor(LINK, q=q, alpha=alpha, updated_at=4.0, sample_count=3)
+    updated = update_ewma(state, q, at=9.0)
+    assert updated.q.hex() == _blend(alpha, q, q).hex()  # the sign of a zero counts
+    assert (updated.sample_count, updated.updated_at) == (4, 9.0)
+
 def test_classification_boundaries():
     assert classify_link(QualityFactor(link=LINK, q=0.0, sample_count=1)) is LinkState.DOWN
     assert classify_link(QualityFactor(link=LINK, q=0.5, sample_count=1)) is LinkState.USABLE
