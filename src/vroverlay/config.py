@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from . import monitor, optimizer, quality, supervisor
 from .errors import ConfigError
 
 DEFAULT_REGISTRY_ADDRESS = "127.0.0.1:7450"
@@ -23,12 +24,12 @@ class OverlayConfig:
     region: str = ""
 
     # quality filters
-    alpha: float = 0.25
-    rtt_ref_ms: float = 200.0
-    q_min: float = 0.05
+    alpha: float = quality.DEFAULT_ALPHA
+    rtt_ref_ms: float = quality.DEFAULT_RTT_REF_MS
+    q_min: float = quality.DEFAULT_Q_MIN
 
     # optimizer
-    delta: float = 0.05
+    delta: float = optimizer.DEFAULT_REROUTE_DELTA
     optimizer_period_ms: float = 10_000.0
     gateway_pair: Optional[tuple] = None
 
@@ -41,12 +42,12 @@ class OverlayConfig:
     # supervision
     probe_interval_ms: float = 10_000.0
     probe_deadline_ms: float = 2_000.0
-    k_miss: int = 2
+    k_miss: int = supervisor.DEFAULT_K_MISS
     admins: tuple = ()
 
     # metric store
-    series_capacity: int = 4096
-    budget_bytes: int = 8 * 1024 * 1024
+    series_capacity: int = monitor.DEFAULT_SERIES_CAPACITY
+    budget_bytes: int = monitor.DEFAULT_BUDGET_BYTES
     subscriber_queue: int = 4096
 
 

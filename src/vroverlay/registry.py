@@ -134,7 +134,6 @@ class Registry:
         self._rooms_by_reflector: dict = {}  # ReflectorId -> set of RoomId
         self._links: dict = {}               # LinkKey -> LinkRecord
         self._flow: Optional[FlowSummary] = None
-        self._snapshot_epoch = 0
         self.latest_snapshot: Optional[TopologySnapshot] = None
 
     # --- membership of the overlay itself ---
@@ -151,7 +150,7 @@ class Registry:
         self.inputs_changed = True
         if self.supervisor.watch(reflector).state is HealthState.FAILED:
             self.supervisor.clear_failed(reflector)
-        return self._snapshot_epoch
+        return self.latest_snapshot.epoch if self.latest_snapshot else 0
 
     def deregister(self, reflector: ReflectorId) -> None:
         """Forget a reflector that left on purpose, filters included."""
@@ -349,7 +348,7 @@ class Registry:
         live = self._entries
         installed = self.tree.edges if self.tree is not None else ()
         return TopologySnapshot(
-            epoch=self._snapshot_epoch + 1,
+            epoch=self.latest_snapshot.epoch + 1 if self.latest_snapshot else 1,
             reflectors=tuple(copy.copy(e) for e in self.entries()),
             links=tuple(self.links()),
             tree_edges=frozenset(e for e in installed if e[0] in live and e[1] in live),
@@ -360,7 +359,5 @@ class Registry:
     def publish_snapshot(self, now: float) -> TopologySnapshot:
         """Expire stale entries, advance the epoch, and return the new snapshot."""
         self.expire(now)
-        snapshot = self.build_snapshot()
-        self._snapshot_epoch = snapshot.epoch
-        self.latest_snapshot = snapshot
-        return snapshot
+        self.latest_snapshot = self.build_snapshot()
+        return self.latest_snapshot

@@ -15,7 +15,7 @@ import heapq
 import itertools
 import random
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..errors import LinkDown, TimeRegression
@@ -55,7 +55,10 @@ class EventLoop:
 
 @dataclass
 class SimLink:
-    """One bidirectional link; parameters mutate only between events."""
+    """One bidirectional link; parameters mutate only between events.
+
+    `up` is what `set_link` scripted; a partition sets `cut`. Hops need both.
+    """
 
     a: ReflectorId
     b: ReflectorId
@@ -63,6 +66,7 @@ class SimLink:
     loss_probability: float = 0.0
     bandwidth_kbps: float = 10_000.0
     up: bool = True
+    cut: bool = field(default=False, init=False)
 
     def __post_init__(self):
         self.a, self.b = link_key(self.a, self.b)
@@ -92,9 +96,9 @@ def deliver_or_drop(
 
     Returns the delivery time (now + latency + serialization, where
     serialization is nbytes*8/bandwidth_kbps milliseconds) or None when the
-    loss draw eats the packet. Raises LinkDown for a downed link.
+    loss draw eats the packet. Raises LinkDown for a link that is down or cut.
     """
-    if not link.up:
+    if not link.up or link.cut:
         raise LinkDown("link %s is down" % (link.key,))
     if link.loss_probability > 0.0 and rng.random() < link.loss_probability:
         return None

@@ -8,6 +8,11 @@ serialization delay); control traffic (heartbeats, advertisements, routing
 installs, probes) is delivered in-process at event time, gated on the
 target being alive and un-partitioned.
 
+Each fault is kept once: `SimLink.up` as `set_link` scripted it, the
+partition as `isolated`, from which each link's `cut` flag is derived.
+`_reachable` is the one availability test; restarts and heals share
+`_rejoin`, so an isolated reflector's restart waits for the heal.
+
 Fixed ordering keeps runs bit-deterministic: periodic work fires in the
 order heartbeats, monitor tick, optimizer cycle, snapshot publish,
 supervision; all iteration is over sorted ids; scenario events at time t
@@ -263,8 +268,7 @@ class OverlaySim:
         self.trace = _TraceLog()
         self.violations: list = []
         self.media = MediaCounters()
-        self.isolated: set = set()
-        self._partition_down: set = set()
+        self.isolated: set = set()  # the partition: every cut link has one end here
 
         self.notifications: list = []  # NotificationEvents, in supervision order
         # The registry reaches the simulator only through a weak reference and
@@ -301,7 +305,7 @@ class OverlaySim:
             for client in spec.members:
                 self.nodes[self.client_home[client]].engine.join_room(client, spec.id)
         for rid in sorted(self.nodes):
-            self._advertise(rid)
+            self.registry.advertise_membership(rid, self.nodes[rid].engine.local_rooms())
 
         # Periodic work; relative order at equal times is fixed by insertion.
         self.loop.schedule(0.0, self._heartbeat_tick)
@@ -333,7 +337,8 @@ class OverlaySim:
         node = self._create_node(rid, region, register_at=self.loop.now)
         self._trace("register", rid, region)
         if link_to is not None:
-            self.net.add_link(SimLink(a=rid, b=link_to, **link_params))
+            link = self.net.add_link(SimLink(a=rid, b=link_to, **link_params))
+            link.cut = (rid in self.isolated) != (link_to in self.isolated)
         return node
 
     def schedule(self, at: float, fn) -> None:
@@ -363,18 +368,22 @@ class OverlaySim:
     # --- control-plane reachability ---
 
     def _reachable(self, rid: int) -> bool:
+        """The one availability test: the reflector exists, runs and is not isolated."""
         node = self.nodes.get(rid)
         return node is not None and node.alive and rid not in self.isolated
 
-    def _advertise(self, rid: int) -> None:
-        if rid in self.nodes and self._reachable(rid) and self.registry.is_live(rid):
-            self.registry.advertise_membership(rid, self.nodes[rid].engine.local_rooms())
-
-    def _resync_routing(self, rid: int) -> None:
-        """Reconnected reflectors fetch the current epoch's table."""
+    def _rejoin(self, rid: int) -> None:
+        """A reflector back from a restart or a partition, if reachable: it
+        registers again when its lease has lapsed, advertises its rooms and
+        fetches the current epoch's table."""
+        if not self._reachable(rid):
+            return
+        node = self.nodes[rid]
+        if not self.registry.is_live(rid):
+            self._register(node, self.loop.now)
+        self.registry.advertise_membership(rid, node.engine.local_rooms())
         table = self.registry.tables.get(rid)
-        node = self.nodes.get(rid)
-        if table is not None and node is not None and node.engine.routing.epoch < table.epoch:
+        if table is not None and node.engine.routing.epoch < table.epoch:
             node.engine.swap_routing_table(table)
             self._trace("resync_routing", table.epoch, rid)
 
@@ -389,7 +398,7 @@ class OverlaySim:
     def _monitor_tick(self) -> None:
         now = self.loop.now
         per_node_links: dict = {rid: [] for rid in self.nodes}
-        reachable = {rid for rid, node in self.nodes.items() if node.alive} - self.isolated
+        reachable = {rid for rid in self.nodes if self._reachable(rid)}
         for key in sorted(self.net.links):
             link = self.net.links[key]
             a, b = key
@@ -440,13 +449,7 @@ class OverlaySim:
         now = self.loop.now
         results = {}
         for rid in self.supervisor.probe_targets():
-            node = self.nodes.get(rid)
-            ok = (
-                node is not None
-                and node.alive
-                and rid not in self.isolated
-                and not node.probe_garbage
-            )
+            ok = self._reachable(rid) and not self.nodes[rid].probe_garbage
             results[rid] = ProbeResult.OK if ok else ProbeResult.NO_ANSWER
         for action in self.supervisor.supervise_tick(results, now):
             if isinstance(action, RestartCommand):
@@ -465,10 +468,7 @@ class OverlaySim:
             return
         node.alive = True
         node.probe_garbage = False
-        if not self.registry.is_live(node.id):
-            self._register(node, self.loop.now)
-        self._advertise(node.id)
-        self._resync_routing(node.id)
+        self._rejoin(node.id)
 
     # --- scenario events ---
 
@@ -496,22 +496,14 @@ class OverlaySim:
         self._trace("kill", rid)
 
     def set_partition(self, isolated) -> None:
+        """Isolate exactly these reflectors; each link with one end among them is cut."""
         freed = self.isolated - set(isolated)
-        for key in sorted(self._partition_down):
-            if key in self.net.links:
-                self.net.links[key].up = True
-        self._partition_down.clear()
         self.isolated = set(isolated)
-        for key in sorted(self.net.links):
-            a, b = key
-            if (a in self.isolated) != (b in self.isolated) and self.net.links[key].up:
-                self.net.links[key].up = False
-                self._partition_down.add(key)
+        for (a, b), link in self.net.links.items():
+            link.cut = (a in self.isolated) != (b in self.isolated)
         self._trace("partition", sorted(self.isolated))
         for rid in sorted(freed):
-            if self._reachable(rid):
-                self._advertise(rid)
-                self._resync_routing(rid)
+            self._rejoin(rid)
 
     # --- media plane ---
 

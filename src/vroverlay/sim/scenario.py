@@ -21,13 +21,11 @@ from typing import Optional
 
 from ..config import OverlayConfig, apply_overrides
 from ..errors import ConfigError, SchemaError
-from ..model import PayloadType, link_key
+from ..model import link_key
 
-_PAYLOAD_TYPES = {
-    "opaque": PayloadType.OPAQUE,
-    "video": PayloadType.VIDEO_H261,
-    "audio": PayloadType.AUDIO_G711U,
-}
+# An inject's `payload_type` must name one of these, and is not read further:
+# a simulated packet carries no payload tag.
+_PAYLOAD_TYPES = ("opaque", "video", "audio")
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,15 @@ class InjectTraffic:
     count: int = 1
     interval_ms: float = 100.0
     payload_bytes: int = 76
-    payload_type: PayloadType = PayloadType.OPAQUE
 
 
 @dataclass(frozen=True)
 class Partition:
     """Isolate a set of reflectors from the rest of the overlay.
 
-    Their links go down and they become unreachable from the control plane;
-    a later partition event with a smaller (or empty) set heals the rest.
+    Each link with one end among them is cut, whatever `set_link` scripts,
+    and they become unreachable from the control plane; a later partition
+    event with a smaller (or empty) set heals the rest.
     """
 
     t: float
@@ -379,8 +377,6 @@ def _parse_event(spec, i, rids, room_members, seen_links):
         fields = {name: spec[name] for name in ("count", "payload_bytes") if name in spec}
         if "interval_ms" in spec:
             fields["interval_ms"] = float(spec["interval_ms"])
-        if "payload_type" in spec:
-            fields["payload_type"] = _PAYLOAD_TYPES[spec["payload_type"]]
         return InjectTraffic(t, room, src, **fields)  # absent fields keep the class defaults
     for j, rid in enumerate(spec["isolated"]):  # partition
         if rid not in rids:

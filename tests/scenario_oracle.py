@@ -210,7 +210,6 @@ def _parse_event(spec, where, rids, cids, room_members, seen_links):
             count=count,
             interval_ms=float(spec.get("interval_ms", 100.0)),
             payload_bytes=payload_bytes,
-            payload_type=_PAYLOAD_TYPES[ptype_name],
         )
     if action == "partition":
         isolated = _require(spec, "isolated", where)

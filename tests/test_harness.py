@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vroverlay.cli import main
+from vroverlay.errors import LinkDown
 from vroverlay.export import snapshot_to_json
 from vroverlay.sim import OverlaySim, load_scenario, load_scenario_file
 from vroverlay.sim.core import _fire
@@ -632,6 +633,78 @@ def test_partition_heals_and_resyncs_routing():
     assert resyncs or installs[-1]["acks"] == 3
 
 
+def pair_doc(events, duration_ms=40000):
+    return {
+        "name": "pair", "seed": 5, "duration_ms": duration_ms,
+        "reflectors": [{"id": 1}, {"id": 2}],
+        "links": [{"a": 1, "b": 2, "latency_ms": 10}],
+        "clients": [{"id": 1, "reflector": 1}, {"id": 2, "reflector": 2}],
+        "rooms": [{"id": 1, "members": [1, 2]}],
+        "events": events,
+    }
+
+
+def test_link_scripted_down_during_a_partition_stays_down_after_the_heal():
+    sim = OverlaySim(load_scenario(pair_doc([
+        {"t": 1000, "action": "partition", "isolated": [2]},
+        {"t": 2000, "action": "set_link", "a": 1, "b": 2, "up": False},
+        {"t": 3000, "action": "partition", "isolated": []},
+        {"t": 35000, "action": "inject", "room": 1, "src": 1, "count": 3},
+    ])))
+    report = sim.run()
+    assert sim.net.links[(1, 2)].up is False
+    assert [e for e in report.trace if e["kind"] == "deliver"] == []
+
+
+def test_link_scripted_up_during_a_partition_stays_cut():
+    sim = OverlaySim(load_scenario(pair_doc([
+        {"t": 1000, "action": "partition", "isolated": [2]},
+        {"t": 2000, "action": "set_link", "a": 1, "b": 2, "up": True},
+        {"t": 3000, "action": "inject", "room": 1, "src": 1, "count": 3},
+    ], duration_ms=5000)))
+    sim.schedule(2500.0, lambda: sim.add_reflector(3, link_to=2))
+    report = sim.run()
+    assert [e for e in report.trace if e["kind"] == "deliver"] == []
+    assert report.media.dropped_link_down == 3
+    assert sim.net.links[(2, 3)].cut  # a link added across the partition is cut too
+
+
+def long_partition_doc(**config):
+    # Reflector 3 is isolated far longer than its lease and its restarts.
+    return triangle_doc(duration_ms=200_000, config=config, events=[
+        {"t": 5000, "action": "partition", "isolated": [3]},
+        {"t": 95000, "action": "partition", "isolated": []},
+        {"t": 150_000, "action": "inject", "room": 1, "src": 1, "count": 3},
+    ])
+
+
+def test_reflector_healed_after_its_lease_lapsed_registers_again():
+    sim = OverlaySim(load_scenario(long_partition_doc()))
+    report = sim.run()
+    assert sim.registry.is_live(3)
+    assert sim.supervisor.records[3].state is HealthState.UP
+    got = [e["seq"] for e in report.trace if e["kind"] == "deliver" and e["client"] == 3]
+    assert got == [1, 2, 3]
+
+
+def test_restart_of_an_isolated_reflector_waits_for_the_heal():
+    # A 10 s lease lapses before the first restart at 20 s.
+    sim = OverlaySim(load_scenario(long_partition_doc(liveness_intervals=1)))
+    registrations = []
+    register = sim.registry.register
+
+    def watched(rid, *args):
+        registrations.append((rid, sim.loop.now))
+        return register(rid, *args)
+
+    sim.registry.register = watched
+    report = sim.run()
+    trace = list(report.trace)
+    assert [e for e in trace if e["kind"] == "restart" and e["reflector"] == 3 and e["t"] < 95000]
+    assert [t for rid, t in registrations if rid == 3] == [95000]
+    assert not [e for e in trace if e["kind"] == "resync_routing" and e["t"] < 95000]
+
+
 # --- monitoring integration ---
 
 def test_monitor_measures_transit_traffic_rate():
@@ -826,13 +899,33 @@ def test_chaos_soak_survives_random_fault_schedules():
                 events.append({"t": t, "action": "partition", "isolated": []})
         events.sort(key=lambda e: e["t"])
         base["events"] = events
-        first = run_doc(base)
+        sim = OverlaySim(load_scenario(base))
+        first = sim.run()
         sent = first.transmissions_sent
         assert sent == (first.transmissions_delivered + first.transmissions_lost
                         + first.transmissions_in_flight)
         assert first.transmissions_in_flight >= 0
+        # Scripted link state and the partition compose: a link carries a hop
+        # exactly when its last scripted `up` holds and the last partition
+        # does not cut it.
+        scripted = {(l["a"], l["b"]): True for l in links}
+        isolated = set()
+        for e in events:
+            if e["action"] == "set_link":
+                scripted[(e["a"], e["b"])] = e["up"]
+            elif e["action"] == "partition":
+                isolated = set(e["isolated"])
+        for (a, b), up in scripted.items():
+            try:
+                sim.net.transmit(a, b, 100, lambda: None)
+                carried = True
+            except LinkDown:
+                carried = False
+            assert carried == (up and (a in isolated) == (b in isolated)), (round_no, a, b)
         second = run_doc(base)
         assert first.trace_hash() == second.trace_hash(), "round %d" % round_no
+        if round_no == 0:
+            assert run_doc(base, monitoring=False).trace_hash() == first.trace_hash()
 
 
 def test_link_down_drops_leave_no_transmission_in_flight():

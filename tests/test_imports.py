@@ -57,3 +57,32 @@ def test_registry_decisions_stay_free_of_sockets_threads_and_drivers():
     inner = {m.split(".")[1] for m in modules if m.startswith("vroverlay.")}
     assert "optimizer" in inner  # the walk saw the package imports
     assert not inner & {"daemon", "protocol", "cli", "sim"}
+
+
+def test_only_set_link_writes_a_simulated_link_up():
+    # A link's `up` is what `set_link` scripted; a partition sets `cut` instead.
+    writes = []
+    for path in sorted((SRC / "sim").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()  # the nodes of SimNetwork.set_link
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "SimNetwork":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "set_link":
+                        allowed.update(ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            writes_up = any(isinstance(part, ast.Attribute) and part.attr == "up"
+                            for target in targets for part in ast.walk(target))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and len(node.args) > 1):
+                name = node.args[1]  # any name but a literal other than "up" may be "up"
+                writes_up = not (isinstance(name, ast.Constant) and name.value != "up")
+            if writes_up and node not in allowed:
+                writes.append("%s:%d" % (path.relative_to(SRC), node.lineno))
+    assert writes == []
